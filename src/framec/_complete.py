@@ -2,10 +2,11 @@
 
 Each method reduces its completion problem to one linear system
 coef @ X = rhs, solved by minimum-norm least squares.  What differs is
-how a solution X and each homogeneous direction are realized as an
-n x k dual matrix.  The helpers here canonicalize arbitrary prescribed
-positions to a leading block by column permutation, classify the solve
-outcome, and assemble the (un-permuted) CompletionOutcome.
+how a solution X is realized as an n x k dual matrix and how the kernel
+of coef is lifted to the direction rows W of the family.  The helpers
+here canonicalize arbitrary prescribed positions to a leading block by
+column permutation, classify the solve outcome, and assemble the
+(un-permuted) CompletionOutcome.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import BadShape
 from .frames import (Certificate, Family, Frame, NoCompletion, PartialDual,
                      SolutionFamily, Unique)
-from .linalg import LinSolve, numerical_rank
+from .linalg import LinSolve, adjoint, numerical_rank
 
 
 def check_partial(f: Frame, pd: PartialDual) -> None:
@@ -44,14 +45,14 @@ def unpermute(gp: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 def assemble_outcome(f: Frame, pd: PartialDual, lin: LinSolve,
                      coef: np.ndarray, rhs: np.ndarray,
-                     particular_p: np.ndarray, perm: np.ndarray, realize):
+                     particular_p: np.ndarray, perm: np.ndarray, lift):
     """Turn a reduced solve into a CompletionOutcome.
 
     particular_p is the candidate dual in permuted coordinates (only
-    meaningful when lin.consistent).  realize(direction, row) must build
-    the permuted-coordinate homogeneous dual matrix that places the
-    given nullspace direction in the given row.  Basis elements are
-    ordered by nullspace column index, then row.
+    meaningful when lin.consistent).  lift(nh) must map the d x m matrix
+    nh = N* of conjugated kernel directions of coef to the d x k
+    direction rows W in permuted coordinates; the family is then
+    particular + C @ W over all n x d matrices C.
     """
     if not lin.consistent:
         cert = Certificate(
@@ -59,14 +60,11 @@ def assemble_outcome(f: Frame, pd: PartialDual, lin: LinSolve,
             rank_augmented=numerical_rank(np.hstack([coef, rhs])),
             projector_residual=lin.residual)
         return NoCompletion(certificate=cert)
-    particular = unpermute(particular_p, perm)
-    directions = lin.nullspace
-    if directions.shape[1] == 0:
-        return Unique(G=particular)
-    basis = []
-    for i in range(directions.shape[1]):
-        for row in range(f.n):
-            basis.append(unpermute(realize(directions[:, i], row), perm))
-    fam = SolutionFamily(frame=f, particular=particular, basis=tuple(basis),
-                         dof=f.n * directions.shape[1], prescribed=pd)
+    nh = adjoint(lin.nullspace)
+    if nh.shape[0] == 0:
+        return Unique(G=unpermute(particular_p, perm))
+    # one permutation for the particular dual and the directions together
+    both = unpermute(np.vstack([particular_p, lift(nh)]), perm)
+    fam = SolutionFamily(frame=f, particular=both[:f.n],
+                         directions=both[f.n:], prescribed=pd)
     return Family(family=fam)

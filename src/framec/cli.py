@@ -111,7 +111,7 @@ def _resolve_tol(args) -> float | None:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj))
 
 
 def cmd_check(args) -> int:
@@ -286,19 +286,20 @@ def cmd_sample(args) -> int:
             rep = json.load(fh)
     except json.JSONDecodeError as exc:
         raise _Usage(f"invalid report JSON: {exc}") from None
-    if not isinstance(rep, dict) or rep.get("status") != "family":
-        raise NotAFamily(
-            f"report status is {rep.get('status')!r}, need 'family'")
+    status = rep.get("status") if isinstance(rep, dict) else None
+    if status != "family":
+        raise NotAFamily(f"report status is {status!r}, need 'family'")
     dual = matrix_from_jsonable(rep["dual"])
     basis = [matrix_from_jsonable(b) for b in rep.get("basis", [])]
     dof = int(rep.get("dof", len(basis)))
     if dof != len(basis):
         raise _Usage(f"report lists dof={dof} but {len(basis)} basis matrices")
+    if any(b.shape != dual.shape for b in basis):
+        raise _Usage(f"basis matrices must be {dual.shape[0]} x "
+                     f"{dual.shape[1]} like the dual")
     rng = np.random.default_rng(args.seed)
     coeff = rng.uniform(-1.0, 1.0, dof)
-    g = dual.astype(np.result_type(dual.dtype, np.float64), copy=True)
-    for c, b in zip(coeff, basis):
-        g += c * b
+    g = dual + np.tensordot(coeff, np.array(basis), axes=1)
     if args.output:
         write_matrix(g, args.output)
     else:

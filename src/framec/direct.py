@@ -4,7 +4,8 @@ Splitting G into prescribed columns H and unknown columns G_free turns
 the dual equation into F_free @ G_free* = I - F_pres @ H*.  Solvability
 is a column-span condition on the right-hand side; the minimum-norm
 solution gives the particular dual and ker(F_free) parametrizes the
-rest of the family, one basis element per (kernel direction, row).
+rest of the family: each kernel direction, conjugated, is a direction
+row of the family on the free columns.
 """
 
 from __future__ import annotations
@@ -75,18 +76,13 @@ def extend_dual_pair(f0: Frame, g0, f1) -> CompletionOutcome:
     k = combined.k
     particular = np.hstack([g0, np.zeros((n, k - s), dtype=g0.dtype)])
     pd = PartialDual(g0, tuple(range(s)))
-    directions = nullspace_basis(f1)
-    if directions.shape[1] == 0:
+    nh = adjoint(nullspace_basis(f1))
+    if nh.shape[0] == 0:
         return Unique(G=particular)
-    basis = []
-    for i in range(directions.shape[1]):
-        for row in range(n):
-            b = np.zeros((n, k), dtype=combined.mat.dtype)
-            b[row, s:] = directions[:, i].conj()
-            basis.append(b)
+    w = np.zeros((nh.shape[0], k), dtype=combined.mat.dtype)
+    w[:, s:] = nh
     fam = SolutionFamily(frame=combined, particular=particular,
-                         basis=tuple(basis), dof=n * directions.shape[1],
-                         prescribed=pd)
+                         directions=w, prescribed=pd)
     return Family(family=fam)
 
 
@@ -110,13 +106,11 @@ def complete_direct(f: Frame, pd: PartialDual) -> CompletionOutcome:
     lin = solve_min_norm(f_free, rhs, tol=f.tol)
     particular_p = np.hstack([pd.H.astype(dtype), adjoint(lin.solution)])
 
-    def realize(v, row):
-        b = np.zeros((f.n, f.k), dtype=dtype)
-        b[row, s:] = v.conj()
-        return b
+    def lift(nh):  # W = [0 | N*]
+        return np.hstack([np.zeros((nh.shape[0], s), dtype=nh.dtype), nh])
 
     return assemble_outcome(f, pd, lin, f_free, rhs, particular_p, perm,
-                            realize)
+                            lift)
 
 
 def complete_direct_scaled(f: Frame, pd: PartialDual,

@@ -4,11 +4,14 @@ A frame for F^n is an n x k matrix (k >= n) of full row rank.  A dual of
 F is any G with F G* = I_n.  Completion problems prescribe some columns
 of G and ask for the rest; results are reported as one of three arms:
 NoCompletion (with a rank certificate), Unique, or Family (an affine
-family of duals: particular solution plus homogeneous basis).
+family of duals: particular + C @ W over all n x d coefficient matrices C,
+for a d x k matrix W of direction rows).
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,19 +92,59 @@ class Certificate:
     projector_residual: float
 
 
+class FamilyBasis(Sequence):
+    """The n * d basis matrices of a family, each built when it is read.
+
+    Element i * n + row is the n x k matrix whose only nonzero row is
+    row `row`, equal to direction W[i].  Nothing is cached: reading
+    every element builds n * d dense matrices, so use the directions
+    themselves where possible.
+    """
+
+    __slots__ = ("_w", "_n")
+
+    def __init__(self, directions: np.ndarray, n: int):
+        self._w = directions
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n * self._w.shape[0]
+
+    def __getitem__(self, j):
+        j = operator.index(j)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError(f"basis index out of range 0..{len(self) - 1}")
+        i, row = divmod(j, self._n)
+        b = np.zeros((self._n, self._w.shape[1]), dtype=self._w.dtype)
+        b[row] = self._w[i]
+        return b
+
+
 @dataclass(frozen=True)
 class SolutionFamily:
-    """Affine family of completions: particular + span{basis}.
+    """Affine family of completions: particular + C @ directions.
 
-    Every member particular + sum(c_i * basis[i]) is a dual of frame and
-    matches the prescribed columns; dof = len(basis).
+    C ranges over all n x d coefficient matrices and directions is the
+    d x k matrix W of direction rows, so every member is a dual of frame
+    that matches the prescribed columns and dof = n * d.  basis is the
+    same family spelled out as n * d matrices (see FamilyBasis), in the
+    order family_sample's coefficient vector uses.
     """
 
     frame: Frame
     particular: np.ndarray
-    basis: tuple
-    dof: int
+    directions: np.ndarray
     prescribed: PartialDual
+
+    @property
+    def dof(self) -> int:
+        return self.frame.n * self.directions.shape[0]
+
+    @property
+    def basis(self) -> FamilyBasis:
+        return FamilyBasis(self.directions, self.frame.n)
 
 
 @dataclass(frozen=True)
@@ -182,22 +225,24 @@ def is_dual_pair(f: Frame, g, tol: float | None = None) -> bool:
 
 
 def family_sample(fam: SolutionFamily, coefficients) -> np.ndarray:
-    """Member of the family at the given coefficient vector."""
+    """Member of the family at the given coefficient vector.
+
+    Coefficient i * n + row multiplies basis element i * n + row, so the
+    member is particular + C @ directions with C[row, i] taken from it.
+    """
     c = np.atleast_1d(np.asarray(coefficients))
     if c.shape != (fam.dof,):
         raise BadShape(f"expected {fam.dof} coefficients, got shape {c.shape}")
-    g = fam.particular.astype(np.result_type(fam.particular.dtype, c.dtype),
-                              copy=True)
-    for ci, bi in zip(c, fam.basis):
-        g += ci * bi
-    return g
+    d = fam.directions.shape[0]
+    return fam.particular + c.reshape(d, fam.frame.n).T @ fam.directions
 
 
 def family_contains(fam: SolutionFamily, g, tol: float | None = None) -> bool:
     """Whether g belongs to the family.
 
-    Checks the dual equation, the prescribed columns, and that
-    g - particular lies in the span of the basis (by least squares).
+    Checks the dual equation, the prescribed columns, and that every row
+    of g - particular lies in the row span of the directions (by least
+    squares, with the cutoff of the equivalent nk x nd system).
     """
     g = as_matrix(g)
     f = fam.frame
@@ -214,11 +259,12 @@ def family_contains(fam: SolutionFamily, g, tol: float | None = None) -> bool:
         if np.linalg.norm(got - want) > tol * max(1.0, np.linalg.norm(want)):
             return False
     diff = g - fam.particular
-    if not fam.basis:
+    if not fam.dof:
         return float(np.linalg.norm(diff)) <= tol * max(1.0, float(np.linalg.norm(fam.particular)))
-    span = np.column_stack([b.ravel() for b in fam.basis])
-    coef, *_ = np.linalg.lstsq(span, diff.ravel(), rcond=None)
-    resid = float(np.linalg.norm(span @ coef - diff.ravel()))
+    wt = fam.directions.T
+    rcond = np.finfo(np.float64).eps * f.n * f.k
+    coef, *_ = np.linalg.lstsq(wt, diff.T, rcond=rcond)
+    resid = float(np.linalg.norm(wt @ coef - diff.T))
     return resid <= tol * max(1.0, float(np.linalg.norm(diff)))
 
 

@@ -76,19 +76,32 @@ def svd(m) -> SvdFactors:
     return SvdFactors(U=u, sigma=s, V=adjoint(vh))
 
 
+def _default_cutoff(s: np.ndarray, shape: tuple) -> float:
+    """Singular values at or below this count as zero.
+
+    max(rows, cols) * eps * sigma_max, the usual machine-precision rule,
+    but never below the smallest normal float: a subnormal singular
+    value has a reciprocal that overflows, so a spectrum whose largest
+    value is subnormal has rank 0.
+    """
+    info = np.finfo(s.dtype)
+    top = float(s[0]) if s.size else 0.0
+    return max(max(shape) * info.eps * top, float(info.tiny))
+
+
 def numerical_rank(m, tol: float | None = None) -> int:
     """Number of singular values above the cutoff.
 
-    With tol=None the cutoff is max(rows, cols) * eps * sigma_max, the
-    usual machine-precision rule; an explicit tol is used as an absolute
-    cutoff on the singular values.
+    With tol=None the cutoff is the machine-precision rule of
+    _default_cutoff; an explicit tol is used as an absolute cutoff on
+    the singular values.
     """
     m = as_matrix(m, allow_empty=True)
     if min(m.shape) == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     if tol is None:
-        tol = max(m.shape) * np.finfo(s.dtype).eps * (s[0] if s.size else 0.0)
+        tol = _default_cutoff(s, m.shape)
     return int(np.count_nonzero(s > tol))
 
 
@@ -98,7 +111,7 @@ def pseudoinverse(m) -> np.ndarray:
     if min(m.shape) == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cutoff = max(m.shape) * np.finfo(s.dtype).eps * s[0]
+    cutoff = _default_cutoff(s, m.shape)
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return adjoint(vh) @ (inv[:, None] * adjoint(u))
 
@@ -111,7 +124,7 @@ def nullspace_basis(m, tol: float | None = None) -> np.ndarray:
         return np.eye(cols, dtype=m.dtype)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     if tol is None:
-        tol = max(m.shape) * np.finfo(s.dtype).eps * (s[0] if s.size else 0.0)
+        tol = _default_cutoff(s, m.shape)
     rank = int(np.count_nonzero(s > tol))
     return adjoint(vh[rank:, :])
 
@@ -183,8 +196,10 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     """Row-reduce a tall full-column-rank matrix, accumulating the row ops.
 
     Gauss-Jordan with partial pivoting on the k x n input (k >= n) builds
-    an invertible k x k matrix P with P @ fstar = [I_n; 0].  P is not
-    unique; callers must only rely on the residual contract.
+    an invertible k x k matrix P with P @ fstar = [I_n; 0].  Each pivot
+    clears its column with one rank-1 update of the working matrix and
+    of P.  P is not unique; callers must only rely on the residual
+    contract.
     """
     fstar = as_matrix(fstar)
     k, n = fstar.shape
@@ -206,11 +221,10 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
         scale = 1.0 / work[col, col]
         work[col] *= scale
         p[col] *= scale
-        for row in range(k):
-            if row != col and work[row, col] != 0:
-                factor = work[row, col]
-                work[row] -= factor * work[col]
-                p[row] -= factor * p[col]
+        factors = work[:, col].copy()
+        factors[col] = 0
+        work -= factors[:, None] * work[col]
+        p -= factors[:, None] * p[col]
     target = np.zeros((k, n), dtype=fstar.dtype)
     target[:n, :n] = np.eye(n)
     residual = float(np.linalg.norm(p @ fstar - target))

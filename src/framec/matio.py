@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -62,6 +63,36 @@ def _parse_json(text: str) -> np.ndarray:
     return matrix_from_jsonable(obj)
 
 
+def _is_number(e) -> bool:
+    return isinstance(e, (int, float)) and not isinstance(e, bool)
+
+
+def _decode_entries(data: list) -> np.ndarray:
+    """Entries as floats: shape (N,) when all are numbers, else (N, 2).
+
+    Plain lists of numbers or of [re, im] pairs are converted by numpy
+    in one call; anything else (mixed entries, subclasses, bad entries)
+    is checked one entry at a time.
+    """
+    kinds = set(map(type, data))
+    if kinds <= {int, float}:
+        return np.array(data, dtype=np.float64)
+    if (kinds == {list} and set(map(len, data)) == {2}
+            and set(map(type, chain.from_iterable(data))) <= {int, float}):
+        return np.array(data, dtype=np.float64)
+    out = np.zeros((len(data), 2))
+    is_complex = False
+    for j, e in enumerate(data):
+        if _is_number(e):
+            out[j, 0] = e
+        elif isinstance(e, list) and len(e) == 2 and all(map(_is_number, e)):
+            out[j] = e
+            is_complex = True
+        else:
+            raise ParseError(f"bad matrix entry {e!r}")
+    return out if is_complex else out[:, 0].copy()
+
+
 def matrix_from_jsonable(obj) -> np.ndarray:
     """Decode the {"rows", "cols", "data"} matrix object."""
     if not isinstance(obj, dict):
@@ -76,29 +107,19 @@ def matrix_from_jsonable(obj) -> np.ndarray:
         raise ParseError("rows and cols must be at least 1")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"'data' must list {rows * cols} entries")
-    entries = []
-    is_complex = False
-    for e in data:
-        if isinstance(e, (int, float)) and not isinstance(e, bool):
-            entries.append(complex(e))
-        elif (isinstance(e, list) and len(e) == 2
-              and all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                      for p in e)):
-            entries.append(complex(e[0], e[1]))
-            is_complex = True
-        else:
-            raise ParseError(f"bad matrix entry {e!r}")
-    arr = np.array(entries, dtype=np.complex128).reshape(rows, cols)
-    return arr if is_complex else arr.real.copy()
+    arr = _decode_entries(data)
+    if arr.ndim == 2:  # contiguous [re, im] rows are complex128 bit for bit
+        arr = arr.view(np.complex128)
+    return arr.reshape(rows, cols)
 
 
 def matrix_to_jsonable(m) -> dict:
     """Encode a matrix as the {"rows", "cols", "data"} object."""
     m = as_matrix(m)
     if np.iscomplexobj(m):
-        data = [[float(e.real), float(e.imag)] for e in m.ravel()]
+        data = np.stack([m.real, m.imag], axis=-1).reshape(-1, 2).tolist()
     else:
-        data = [float(e) for e in m.ravel()]
+        data = m.ravel().tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 

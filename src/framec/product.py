@@ -66,13 +66,10 @@ def _solve_product(f: Frame, pd: PartialDual, perm: np.ndarray,
     a = adjoint(lin.solution)
     particular_p = p[:n, :] + a @ p[n:, :]
 
-    def realize(v, row):
-        ah = np.zeros((n, f.k - n), dtype=dtype)
-        ah[row, :] = v.conj()
-        return ah @ p[n:, :]
+    def lift(nh):  # W = N* P[n:, :]
+        return nh @ p[n:, :]
 
-    return assemble_outcome(f, pd, lin, coef, rhs, particular_p, perm,
-                            realize)
+    return assemble_outcome(f, pd, lin, coef, rhs, particular_p, perm, lift)
 
 
 def complete_via_product(f: Frame, pd: PartialDual,

@@ -71,13 +71,13 @@ def complete_via_svd(f: Frame, pd: PartialDual) -> CompletionOutcome:
     particular_p = fac.U @ np.hstack(
         [np.diag(sig_inv).astype(dtype), x]) @ vh
 
-    def realize(v, row):
-        xh = np.zeros((n, f.k - n), dtype=dtype)
-        xh[row, :] = v.conj()
-        return fac.U @ (xh @ vh[n:, :])
+    # W = N* V*[n:, :]; the factor U of each direction U e_row (x) W[i]
+    # is invertible, so it leaves the span unchanged and is dropped
+    def lift(nh):
+        return nh @ vh[n:, :]
 
     return assemble_outcome(f, pd, lin, coef, adjoint(rhs_x), particular_p,
-                            perm, realize)
+                            perm, lift)
 
 
 def is_canonical_prefix(f: Frame, pd: PartialDual,

@@ -165,6 +165,17 @@ class TestComplete:
         assert len(rep["basis"]) == 2
         assert rep["residual"] <= 1e-9
 
+    def test_report_is_compact_and_exact(self, files, capsys):
+        cli.run(["complete", files("f.csv", F_1234),
+                 files("h.csv", [[1.0], [0.0]])])
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and ": " in out and "\n " not in out
+        rep = json.loads(out)
+        fam = fc.complete_direct(fc.make_frame(F_1234),
+                                 fc.PartialDual(np.array([[1.0], [0.0]])))
+        dual = np.array(rep["dual"]["data"]).reshape(2, 4)
+        assert np.array_equal(dual, fam.family.particular)
+
     def test_wide_family_dof(self, files, capsys):
         code, rep, _ = run_json(
             ["complete", files("f.csv", F_WIDE), files("h.csv", H_WIDE),
@@ -326,6 +337,17 @@ class TestSample:
         member = fc.read_matrix(out)
         assert np.allclose(member[:, 0], [1.0, 0.0])
 
+    def test_member_is_dual_plus_combination_of_basis(self, files, capsys):
+        rep_path = self.complete_family(files, capsys)
+        rep = json.loads(open(rep_path).read())
+        _, member, _ = run_json(["sample", rep_path, "--seed", "11"], capsys)
+        coeff = np.random.default_rng(11).uniform(-1.0, 1.0, rep["dof"])
+        want = fc.matio.matrix_from_jsonable(rep["dual"]) + sum(
+            c * fc.matio.matrix_from_jsonable(b)
+            for c, b in zip(coeff, rep["basis"]))
+        got = fc.matio.matrix_from_jsonable(member)
+        assert np.allclose(got, want, atol=1e-12)
+
     def test_rejects_non_family_report(self, files, capsys):
         rep_path = files.dir / "rep.json"
         code, rep, _ = run_json(
@@ -334,6 +356,12 @@ class TestSample:
         assert rep["status"] == "unique"
         rep_path.write_text(json.dumps(rep))
         assert cli.run(["sample", str(rep_path)]) == 1
+        assert "family" in capsys.readouterr().err
+
+    def test_rejects_report_that_is_not_an_object(self, files, capsys):
+        bad = files.dir / "list.json"
+        bad.write_text("[1, 2]")
+        assert cli.run(["sample", str(bad)]) == 1
         assert "family" in capsys.readouterr().err
 
     def test_rejects_inconsistent_report(self, files, capsys):

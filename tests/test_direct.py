@@ -82,10 +82,10 @@ class TestExtendDualPair:
         f0 = fc.make_frame(F0_BASIS)
         fam = fc.extend_dual_pair(f0, G0_BASIS, F1_EXT).family
         direction = np.array([-3.0, -2, 1]) / np.linalg.norm([-3.0, -2, 1])
-        for vec in fam.basis:
-            for row in vec[:, 2:]:
-                assert abs(np.linalg.norm(row)
-                           - abs(row @ direction)) <= 1e-12
+        assert fam.directions.shape == (1, 5)
+        assert np.linalg.norm(fam.directions[:, :2]) == 0
+        for row in fam.directions[:, 2:]:
+            assert abs(np.linalg.norm(row) - abs(row @ direction)) <= 1e-12
 
     def test_independent_new_columns_force_zero(self):
         f0 = fc.make_frame(np.array([[1.0, 1], [1, -1]]))

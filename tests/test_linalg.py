@@ -110,6 +110,21 @@ def test_pseudoinverse_penrose_identities(m):
     assert np.linalg.norm((p @ m).conj().T - p @ m) <= 1e-9 * scale
 
 
+def test_subnormal_spectrum_counts_as_zero():
+    # 1 / 2.2e-313 overflows: the three primitives agree on rank 0
+    m = np.array([[2.2e-313]])
+    assert np.array_equal(fc.pseudoinverse(m), [[0.0]])
+    assert fc.numerical_rank(m) == 0
+    assert np.array_equal(fc.nullspace_basis(m), [[1.0]])
+    # a subnormal value below a normal one is dropped as well
+    m = np.diag([1e-300, 1e-310])
+    p = fc.pseudoinverse(m)
+    assert np.isfinite(p).all()
+    assert np.allclose(p, np.diag([1e300, 0.0]), rtol=1e-12, atol=0)
+    assert fc.numerical_rank(m) == 1
+    assert np.array_equal(np.abs(fc.nullspace_basis(m)), [[0.0], [1.0]])
+
+
 def test_solve_min_norm_trivial():
     lin = fc.solve_min_norm(np.eye(2), [[1.0], [2.0]])
     assert lin.consistent

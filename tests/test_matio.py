@@ -114,3 +114,32 @@ def test_jsonable_real_when_no_pairs():
     # a single [re, im] pair promotes the whole matrix
     obj = {"rows": 1, "cols": 2, "data": [1, [0, 1]]}
     assert matrix_from_jsonable(obj).dtype == np.complex128
+
+
+def test_jsonable_mixed_and_subclassed_entries():
+    # scalars next to pairs decode as complex with zero imaginary part
+    obj = {"rows": 1, "cols": 3, "data": [1, [0.5, -2], 3.0]}
+    back = matrix_from_jsonable(obj)
+    assert back.dtype == np.complex128
+    assert np.array_equal(back, [[1, 0.5 - 2j, 3]])
+    # float subclasses are numbers; without pairs the result stays real
+    obj = {"rows": 1, "cols": 2, "data": [np.float64(1.5), 2]}
+    back = matrix_from_jsonable(obj)
+    assert back.dtype == np.float64
+    assert np.array_equal(back, [[1.5, 2.0]])
+
+
+def test_jsonable_rejects_bad_pairs():
+    for data in ([[1, True], [0, 0]], [[1, "2"], [0, 0]], [[1, 2], [3]],
+                 [[1, [2]], [0, 0]], [[1, 2, 3], [4, 5, 6]], [1, None]):
+        with pytest.raises(fc.ParseError, match="bad matrix entry"):
+            matrix_from_jsonable({"rows": 1, "cols": 2, "data": data})
+    with pytest.raises(fc.ParseError):
+        matrix_from_jsonable([1, 2])
+
+
+def test_jsonable_pairs_keep_signed_zeros():
+    c = np.array([[-0.0 + 1j, 2 - 0.0j]])
+    back = matrix_from_jsonable(matrix_to_jsonable(c))
+    assert np.array_equal(np.signbit(back.real), np.signbit(c.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(c.imag))
