@@ -11,22 +11,19 @@ G = U [Sigma^{-1} X] V*.
 
 from .errors import (BadShape, DimensionMismatch, FramecError, MixedField,
                      NonFinite, NotAFamily, NotAFrame, NotDualPair,
-                     NotZeroColumn, ParseError, RankDeficient, ZeroWeight)
+                     NotZeroColumn, ParseError, RankDeficient)
 from .linalg import (Elimination, LinSolve, SvdFactors, adjoint,
-                     eliminate_with_product, in_column_span, nullspace_basis,
-                     numerical_rank, pseudoinverse, solve_min_norm, svd)
+                     eliminate_with_product, nullspace_basis, numerical_rank,
+                     pseudoinverse, solve_min_norm, svd)
 from .frames import (Certificate, CompletionOutcome, Family, Frame,
                      FrameBounds, NoCompletion, PartialDual, SolutionFamily,
                      Unique, canonical_dual, dual_residual, family_contains,
                      family_sample, frame_bounds, frame_operator,
                      is_dual_pair, is_tight, make_frame, surgery_remove)
 from .direct import (Weights, complete_direct, complete_direct_scaled,
-                     extend_dual_pair, kernel_condition_holds, solve_weights)
-from .product import (ProductBlocks, complete_via_product,
-                      complete_via_product_scaled, dual_from_A,
-                      product_blocks, rank_zero_shortcut)
-from .svdparam import (DualParam, complete_via_svd, dual_from_X, dual_param,
-                       is_canonical_prefix)
+                     extend_dual_pair, solve_weights)
+from .product import complete_via_product, dual_from_A
+from .svdparam import DualParam, complete_via_svd, dual_from_X, dual_param
 from .matio import read_matrix, write_matrix
 
 __version__ = "0.1.0"
@@ -36,16 +33,13 @@ __all__ = [
     "DualParam", "Elimination", "Family", "Frame", "FrameBounds",
     "FramecError", "LinSolve", "MixedField", "NoCompletion", "NonFinite",
     "NotAFamily", "NotAFrame", "NotDualPair", "NotZeroColumn", "ParseError",
-    "PartialDual", "ProductBlocks", "RankDeficient", "SolutionFamily",
-    "SvdFactors", "Unique", "Weights", "ZeroWeight", "adjoint",
-    "canonical_dual", "complete_direct", "complete_direct_scaled",
-    "complete_via_product", "complete_via_product_scaled", "complete_via_svd",
+    "PartialDual", "RankDeficient", "SolutionFamily", "SvdFactors", "Unique",
+    "Weights", "adjoint", "canonical_dual", "complete_direct",
+    "complete_direct_scaled", "complete_via_product", "complete_via_svd",
     "dual_from_A", "dual_from_X", "dual_param", "dual_residual",
     "eliminate_with_product", "extend_dual_pair", "family_contains",
-    "family_sample", "frame_bounds", "frame_operator", "in_column_span",
-    "is_canonical_prefix", "is_dual_pair", "is_tight",
-    "kernel_condition_holds", "make_frame", "nullspace_basis",
-    "numerical_rank", "product_blocks", "pseudoinverse", "rank_zero_shortcut",
-    "read_matrix", "solve_min_norm", "solve_weights", "surgery_remove", "svd",
-    "write_matrix",
+    "family_sample", "frame_bounds", "frame_operator", "is_dual_pair",
+    "is_tight", "make_frame", "nullspace_basis", "numerical_rank",
+    "pseudoinverse", "read_matrix", "solve_min_norm", "solve_weights",
+    "surgery_remove", "svd", "write_matrix",
 ]

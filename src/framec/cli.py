@@ -22,16 +22,14 @@ import sys
 
 import numpy as np
 
-from .direct import (Weights, complete_direct, complete_direct_scaled,
-                     solve_weights)
+from .direct import Weights, complete_direct, solve_weights
 from .errors import BadShape, FramecError, NotAFamily, NotAFrame
-from .frames import (Family, Frame, NoCompletion, PartialDual, Unique,
-                     canonical_dual, dual_residual, frame_bounds, is_tight,
-                     make_frame)
+from .frames import (Family, Frame, PartialDual, Unique, canonical_dual,
+                     dual_residual, frame_bounds, is_tight, make_frame)
 from .linalg import numerical_rank
 from .matio import (matrix_from_jsonable, matrix_to_jsonable, read_matrix,
                     write_matrix)
-from .product import complete_via_product, complete_via_product_scaled
+from .product import complete_via_product
 from .svdparam import complete_via_svd
 
 
@@ -73,14 +71,13 @@ def _build_parser() -> _Parser:
                    help="1-based prescribed positions, e.g. 1,3,4 "
                         "(default: leading columns)")
     p.add_argument("--weights", default=None,
-                   help="matrix file with one weight per prescribed column")
+                   help="matrix file with one weight per column of PARTIAL "
+                        "(the report lists them by position)")
     p.add_argument("--solve-weights", action="store_true",
                    help="search for feasible real weights first")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--output", default=None,
                    help="write the computed dual to this matrix file")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for symmetry with sample; no effect")
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("verify", help="check that DUAL is a dual of FRAME")
@@ -170,19 +167,12 @@ def _parse_indices(spec: str, s: int, k: int) -> tuple:
     return tuple(i - 1 for i in raw)
 
 
-def _run_method(name: str, fr: Frame, pd: PartialDual, weights):
-    if weights is None:
-        if name == "direct":
-            return complete_direct(fr, pd)
-        if name == "product":
-            return complete_via_product(fr, pd)
-        return complete_via_svd(fr, pd)
+def _run_method(name: str, fr: Frame, pd: PartialDual):
     if name == "direct":
-        return complete_direct_scaled(fr, pd, weights)
+        return complete_direct(fr, pd)
     if name == "product":
-        return complete_via_product_scaled(fr, pd, weights)
-    scaled = PartialDual(pd.H * np.asarray(weights.w), pd.indices)
-    return complete_via_svd(fr, scaled)
+        return complete_via_product(fr, pd)
+    return complete_via_svd(fr, pd)
 
 
 def _check_agreement(outcomes: dict, fr: Frame) -> None:
@@ -256,7 +246,8 @@ def cmd_complete(args) -> int:
         wlist = [float(x) for x in read_matrix(args.weights).ravel()]
         if len(wlist) != s:
             raise _Usage(f"{s} prescribed columns but {len(wlist)} weights")
-        weights = Weights(tuple(wlist), allow_zero=True)
+        # pd holds its columns in position order; the weights follow them
+        weights = Weights(tuple(wlist[j] for j in np.argsort(idx)))
     elif args.solve_weights:
         weights = solve_weights(fr, pd)
         if weights is None:
@@ -264,13 +255,15 @@ def cmd_complete(args) -> int:
                          "completable at this tolerance; reporting the "
                          "unscaled outcome")
 
+    if weights is not None:
+        pd = pd.scaled(weights.w)
     if args.method == "all":
-        outcomes = {name: _run_method(name, fr, pd, weights)
+        outcomes = {name: _run_method(name, fr, pd)
                     for name in ("direct", "product", "svd")}
         _check_agreement(outcomes, fr)
         chosen = outcomes["direct"]
     else:
-        chosen = _run_method(args.method, fr, pd, weights)
+        chosen = _run_method(args.method, fr, pd)
 
     rep = _report(chosen, args.method, fr, weights, notes)
     _emit(rep)

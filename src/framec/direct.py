@@ -15,46 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._complete import (assemble_outcome, check_partial, leading_permutation)
-from .errors import BadShape, DimensionMismatch, NotDualPair, ZeroWeight
+from .errors import BadShape, NotDualPair
 from .frames import (CompletionOutcome, Family, Frame, PartialDual,
                      SolutionFamily, Unique, dual_residual, make_frame)
-from .linalg import (DEFAULT_TOL, adjoint, as_matrix, nullspace_basis,
-                     pseudoinverse, solve_min_norm)
+from .linalg import (adjoint, as_matrix, nullspace_basis, pseudoinverse,
+                     solve_min_norm)
 
 
 @dataclass(frozen=True)
 class Weights:
     """Diagonal scaling w_1..w_s applied to the prescribed columns.
 
-    Weights are real even for complex frames.  allow_zero=False rejects
-    zero entries at construction.
+    Weights are real even for complex frames.  A zero weight prescribes
+    a zero column.
     """
 
     w: tuple
-    allow_zero: bool = False
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.w)
         object.__setattr__(self, "w", w)
-        if not self.allow_zero and any(x == 0.0 for x in w):
-            raise ZeroWeight("zero weight with allow_zero=False")
-
-
-def kernel_condition_holds(f1, g1, tol: float | None = None) -> bool:
-    """Whether range(G1*) lies in ker(F1), i.e. F1 @ G1* = 0.
-
-    This is the condition for [G0 G1] to remain a dual of [F0 F1] once
-    (F0, G0) is a dual pair.
-    """
-    f1 = as_matrix(f1, allow_empty=True)
-    g1 = as_matrix(g1, allow_empty=True)
-    if f1.shape != g1.shape:
-        raise DimensionMismatch(f"shapes differ: {f1.shape} vs {g1.shape}")
-    if tol is None:
-        tol = DEFAULT_TOL
-    resid = float(np.linalg.norm(f1 @ adjoint(g1)))
-    scale = max(1.0, float(np.linalg.norm(f1)) * float(np.linalg.norm(g1)))
-    return resid <= tol * scale
 
 
 def extend_dual_pair(f0: Frame, g0, f1) -> CompletionOutcome:
@@ -120,13 +100,7 @@ def complete_direct_scaled(f: Frame, pd: PartialDual,
     The outcome's prescribed columns are h_i * w_i; with all-ones
     weights this is exactly complete_direct.
     """
-    check_partial(f, pd)
-    if len(w.w) != pd.s:
-        raise BadShape(f"{pd.s} prescribed columns but {len(w.w)} weights")
-    if not w.allow_zero and any(x == 0.0 for x in w.w):
-        raise ZeroWeight("zero weight with allow_zero=False")
-    scaled = PartialDual(pd.H * np.asarray(w.w), pd.indices)
-    return complete_direct(f, scaled)
+    return complete_direct(f, pd.scaled(w.w))
 
 
 def solve_weights(f: Frame, pd: PartialDual,
@@ -157,5 +131,4 @@ def solve_weights(f: Frame, pd: PartialDual,
     lin = solve_min_norm(m, target.reshape(-1, 1), tol=tol)
     if not lin.consistent:
         return None
-    return Weights(tuple(float(x) for x in lin.solution.ravel()),
-                   allow_zero=True)
+    return Weights(tuple(lin.solution.ravel()))

@@ -33,10 +33,6 @@ class NotZeroColumn(FramecError):
     """Column removal was requested at a position the dual family cannot zero out."""
 
 
-class ZeroWeight(FramecError):
-    """A zero weight appeared where the scaling must be invertible."""
-
-
 class ParseError(FramecError):
     """A matrix file could not be parsed."""
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadShape, NotAFrame, NotZeroColumn
-from .linalg import (DEFAULT_TOL, adjoint, as_matrix, default_tol,
-                     numerical_rank, pseudoinverse)
+from .linalg import adjoint, as_matrix, default_tol, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,17 @@ class PartialDual:
     @property
     def s(self) -> int:
         return self.H.shape[1]
+
+    def scaled(self, w) -> PartialDual:
+        """The same positions with column i of H multiplied by w[i].
+
+        A zero weight prescribes a zero column.
+        """
+        w = np.asarray(w)
+        if w.shape != (self.s,):
+            raise BadShape(f"{self.s} prescribed columns but weights of "
+                           f"shape {w.shape}")
+        return PartialDual(self.H * w, self.indices)
 
 
 @dataclass(frozen=True)

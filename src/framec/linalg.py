@@ -167,23 +167,6 @@ def solve_min_norm(a, c, tol: float | None = None) -> LinSolve:
                     nullspace=nullspace_basis(a), consistent=consistent)
 
 
-def in_column_span(a, c, tol: float | None = None) -> bool:
-    """Whether every column of c lies in the column span of a.
-
-    Equivalent to rank([a c]) == rank(a); tested through the projector
-    residual ||(I - a a^+) c||_F <= tol * max(1, ||c||_F).
-    """
-    a = as_matrix(a, allow_empty=True)
-    c = as_matrix(c, allow_empty=True)
-    if a.shape[0] != c.shape[0]:
-        raise DimensionMismatch(
-            f"a has {a.shape[0]} rows but c has {c.shape[0]}")
-    if tol is None:
-        tol = DEFAULT_TOL
-    residual = float(np.linalg.norm(a @ (pseudoinverse(a) @ c) - c))
-    return residual <= tol * max(1.0, float(np.linalg.norm(c)))
-
-
 @dataclass(frozen=True)
 class Elimination:
     """Invertible P with P @ Fstar = [I_n; 0], plus the achieved residual."""

@@ -8,38 +8,13 @@ pins [I_n A] @ P_left, a linear condition on A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._complete import (assemble_outcome, check_partial, leading_permutation)
-from .errors import BadShape, ZeroWeight
+from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
 from .linalg import (Elimination, adjoint, as_matrix, eliminate_with_product,
-                     numerical_rank, solve_min_norm)
-
-
-@dataclass(frozen=True)
-class ProductBlocks:
-    """P partitioned with rows split n | k-n and columns split s | k-s."""
-
-    P: np.ndarray
-    tl: np.ndarray  # n x s
-    tr: np.ndarray  # n x (k-s)
-    bl: np.ndarray  # (k-n) x s
-    br: np.ndarray  # (k-n) x (k-s)
-
-
-def product_blocks(p, n: int, s: int) -> ProductBlocks:
-    """Slice a k x k product matrix into the four completion blocks."""
-    p = as_matrix(p)
-    k = p.shape[0]
-    if p.shape != (k, k):
-        raise BadShape(f"P must be square, got {p.shape}")
-    if not (0 <= n <= k and 0 <= s <= k):
-        raise BadShape(f"invalid split n={n}, s={s} for k={k}")
-    return ProductBlocks(P=p, tl=p[:n, :s], tr=p[:n, s:],
-                         bl=p[n:, :s], br=p[n:, s:])
+                     solve_min_norm)
 
 
 def dual_from_A(p, a) -> np.ndarray:
@@ -53,23 +28,6 @@ def dual_from_A(p, a) -> np.ndarray:
     if n < 1 or n > k or a.shape[1] != k - n:
         raise BadShape(f"A must be n x (k-n) with k={k}, got {a.shape}")
     return p[:n, :] + a @ p[n:, :]
-
-
-def _solve_product(f: Frame, pd: PartialDual, perm: np.ndarray,
-                   p: np.ndarray) -> CompletionOutcome:
-    n, s = f.n, pd.s
-    dtype = np.result_type(f.mat.dtype, pd.H.dtype, p.dtype)
-    p = p.astype(dtype)
-    coef = adjoint(p[n:, :s])
-    rhs = adjoint(pd.H) - adjoint(p[:n, :s])
-    lin = solve_min_norm(coef, rhs, tol=f.tol)
-    a = adjoint(lin.solution)
-    particular_p = p[:n, :] + a @ p[n:, :]
-
-    def lift(nh):  # W = N* P[n:, :]
-        return nh @ p[n:, :]
-
-    return assemble_outcome(f, pd, lin, coef, rhs, particular_p, perm, lift)
 
 
 def complete_via_product(f: Frame, pd: PartialDual,
@@ -89,35 +47,16 @@ def complete_via_product(f: Frame, pd: PartialDual,
     fp = f.mat[:, perm]
     if elimination is None:
         elimination = eliminate_with_product(adjoint(fp), tol=f.tol)
-    return _solve_product(f, pd, perm, elimination.P)
+    n, s = f.n, pd.s
+    dtype = np.result_type(f.mat.dtype, pd.H.dtype, elimination.P.dtype)
+    p = elimination.P.astype(dtype)
+    coef = adjoint(p[n:, :s])
+    rhs = adjoint(pd.H) - adjoint(p[:n, :s])
+    lin = solve_min_norm(coef, rhs, tol=f.tol)
+    a = adjoint(lin.solution)
+    particular_p = p[:n, :] + a @ p[n:, :]
 
+    def lift(nh):  # W = N* P[n:, :]
+        return nh @ p[n:, :]
 
-def rank_zero_shortcut(f: Frame, pd: PartialDual,
-                       blocks: ProductBlocks) -> CompletionOutcome | None:
-    """Degenerate case P_bl = 0: the prescription cannot touch A.
-
-    When the bottom-left block vanishes, a completion exists iff
-    H = P_tl, and then every A works (dof = n(k-n)).  Returns None when
-    P_bl is nonzero so callers fall through to the general solve.
-    """
-    check_partial(f, pd)
-    if numerical_rank(blocks.bl) > 0:
-        return None
-    perm = leading_permutation(pd, f.k)
-    return _solve_product(f, pd, perm, blocks.P)
-
-
-def complete_via_product_scaled(f: Frame, pd: PartialDual,
-                                w) -> CompletionOutcome:
-    """Scaled variant: find the dual whose prescribed columns are h_i w_i.
-
-    Solves [I_n A] @ P_left = H @ W_H, which requires W_H invertible,
-    hence every weight nonzero.
-    """
-    check_partial(f, pd)
-    if len(w.w) != pd.s:
-        raise BadShape(f"{pd.s} prescribed columns but {len(w.w)} weights")
-    if any(x == 0.0 for x in w.w):
-        raise ZeroWeight("scaled product completion needs invertible W_H")
-    scaled = PartialDual(pd.H * np.asarray(w.w), pd.indices)
-    return complete_via_product(f, scaled)
+    return assemble_outcome(f, pd, lin, coef, rhs, particular_p, perm, lift)

@@ -78,22 +78,3 @@ def complete_via_svd(f: Frame, pd: PartialDual) -> CompletionOutcome:
 
     return assemble_outcome(f, pd, lin, coef, adjoint(rhs_x), particular_p,
                             perm, lift)
-
-
-def is_canonical_prefix(f: Frame, pd: PartialDual,
-                        tol: float | None = None) -> bool:
-    """Whether the prescribed columns come from the canonical dual.
-
-    Equivalent to the X = 0 branch of the completion system: the
-    residual ||U* H - Sigma^{-1} V*_tl||_F must vanish within tol.
-    """
-    check_partial(f, pd)
-    if tol is None:
-        tol = f.tol
-    if pd.s == 0:
-        return True
-    perm = leading_permutation(pd, f.k)
-    fac = svd(f.mat[:, perm])
-    vh = fac.vh
-    resid = adjoint(fac.U) @ pd.H - (1.0 / fac.sigma)[:, None] * vh[:f.n, :pd.s]
-    return float(np.linalg.norm(resid)) <= tol

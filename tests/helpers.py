@@ -6,6 +6,8 @@ import numpy as np
 
 import framec as fc
 
+ROUTES = (fc.complete_direct, fc.complete_via_product, fc.complete_via_svd)
+
 
 def random_frame(rng, n=None, k=None, complex_field=False, n_max=4, k_max=8):
     """Random frame with entries uniform in [-2, 2] (per component)."""

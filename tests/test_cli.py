@@ -16,6 +16,8 @@ F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
 H_STUCK = np.array([[1.0, 3], [2, 4]])
 F_WIDE = np.array([[1.0, 0, -1, -2, 1], [0, 1, 0, 4, -2]])
 H_WIDE = np.array([[1.0, 2, 1], [3, 4, 4.5]])
+F_HADAMARD = np.array([[1.0, 1, 1, 0], [1, -1, 0, 1]])
+H_HADAMARD = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
 @pytest.fixture
@@ -291,6 +293,32 @@ class TestCompleteWeights:
         assert rep["status"] == "none"
         assert "weights" not in rep
         assert any("scaling" in note for note in rep["errata_notes"])
+
+    @pytest.mark.parametrize("method", ["direct", "product", "svd", "all"])
+    def test_zero_weight_same_dual_on_every_method(self, files, capsys,
+                                                   method):
+        code, rep, _ = run_json(
+            ["complete", files("f.csv", F_HADAMARD),
+             files("h.csv", H_HADAMARD),
+             "--weights", files("w.csv", [[0.0, 2.0]]),
+             "--method", method], capsys)
+        assert code == 0
+        assert rep["status"] == "unique"
+        got = np.array(rep["dual"]["data"]).reshape(2, 4)
+        want = np.array([[0.0, 1, 0, 1], [0, -1, 1, 0]])
+        assert np.linalg.norm(got - want) <= 1e-12
+
+    def test_weights_follow_partial_columns(self, files, capsys):
+        # column j of the partial file sits at the j-th listed index
+        code, rep, _ = run_json(
+            ["complete", files("f.csv", F_HADAMARD),
+             files("h.csv", [[1.0, 0], [0, 1]]), "--indices", "3,1",
+             "--weights", files("w.csv", [[1.0, 2.0]])], capsys)
+        assert code == 0
+        got = np.array(rep["dual"]["data"]).reshape(2, 4)
+        assert np.allclose(got[:, 2], [1.0, 0])
+        assert np.allclose(got[:, 0], [0, 2.0])
+        assert rep["weights"] == [2.0, 1.0]
 
     def test_weight_count_mismatch(self, files, capsys):
         code = cli.run(["complete", files("f.csv", F_COLLINEAR),

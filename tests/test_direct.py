@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import random_dual, random_frame, random_partial
+from helpers import ROUTES, random_dual, random_frame, random_partial
 
 F0_BASIS = np.array([[1.0, 2], [1, 1]])
 G0_BASIS = np.array([[-1.0, 1], [2, -1]])
@@ -28,20 +28,37 @@ def wide_family_member(a, b):
                      [3, 4, 4.5, (2 * b - 3) / 4, b]])
 
 
+def kernel_condition_holds(f1, g1):
+    """Oracle: range(G1*) lies in ker(F1), i.e. ||F1 G1*|| vanishes."""
+    resid = np.linalg.norm(f1 @ g1.conj().T)
+    return resid <= 1e-9 * max(1.0, np.linalg.norm(f1) * np.linalg.norm(g1))
+
+
 class TestKernelCondition:
+    # [G0 G1] stays a dual of [F0 F1] exactly when F1 G1* = 0, so the
+    # extensions extend_dual_pair describes are the blocks G1 that pass
     def test_holds_for_kernel_aligned_rows(self):
         g1 = np.array([[-3.0, -2, 1], [-6, -4, 2]])
-        assert fc.kernel_condition_holds(F1_EXT, g1)
+        assert kernel_condition_holds(F1_EXT, g1)
+        out = fc.extend_dual_pair(fc.make_frame(F0_BASIS), G0_BASIS, F1_EXT)
+        assert fc.family_contains(out.family, np.hstack([G0_BASIS, g1]))
 
     def test_zero_block_always_passes(self):
-        assert fc.kernel_condition_holds(F1_EXT, np.zeros((2, 3)))
+        out = fc.extend_dual_pair(fc.make_frame(F0_BASIS), G0_BASIS, F1_EXT)
+        assert np.array_equal(out.family.particular,
+                              np.hstack([G0_BASIS, np.zeros((2, 3))]))
 
     def test_fails_off_kernel(self):
-        assert not fc.kernel_condition_holds(np.eye(2), np.eye(2))
+        assert not kernel_condition_holds(np.eye(2), np.eye(2))
+        f0 = fc.make_frame(F0_BASIS)
+        out = fc.extend_dual_pair(f0, G0_BASIS, np.eye(2))
+        assert isinstance(out, fc.Unique)
+        assert np.array_equal(out.G, np.hstack([G0_BASIS, np.zeros((2, 2))]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(fc.DimensionMismatch):
-            fc.kernel_condition_holds(F1_EXT, np.zeros((2, 2)))
+        with pytest.raises(fc.BadShape):
+            fc.extend_dual_pair(fc.make_frame(F0_BASIS), G0_BASIS,
+                                np.zeros((3, 2)))
 
     def test_extension_dual_iff_condition_holds(self):
         # duality of [G0 G1] is decided exactly by the kernel test on the
@@ -61,7 +78,7 @@ class TestKernelCondition:
             else:
                 g1 = rng.uniform(-2.0, 2.0, (fr0.n, 3))
             fr = fc.make_frame(np.hstack([fr0.mat, f1]))
-            holds = fc.kernel_condition_holds(f1, g1)
+            holds = kernel_condition_holds(f1, g1)
             assert fc.is_dual_pair(fr, np.hstack([g0, g1])) == holds
             verdicts[holds] += 1
         assert min(verdicts.values()) >= 10
@@ -194,10 +211,9 @@ class TestCompleteDirect:
 
 class TestScaled:
     def test_weights_validation(self):
-        with pytest.raises(fc.ZeroWeight):
-            fc.Weights((1.0, 0.0))
-        w = fc.Weights((1.0, 0.0), allow_zero=True)
+        w = fc.Weights((1, 0))
         assert w.w == (1.0, 0.0)
+        assert all(type(x) is float for x in w.w)
 
     def test_trivial_and_scaled_hadamard(self):
         fr = fc.make_frame(F_HADAMARD)
@@ -256,7 +272,7 @@ class TestSolveWeights:
         w = fc.solve_weights(fr, fc.PartialDual(H_HADAMARD, (0, 1)))
         assert w is not None
         out = fc.complete_direct_scaled(fr, fc.PartialDual(H_HADAMARD, (0, 1)),
-                                        fc.Weights(w.w, allow_zero=True))
+                                        w)
         assert not isinstance(out, fc.NoCompletion)
 
     def test_infeasible_returns_none(self):
@@ -276,7 +292,7 @@ class TestSolveWeights:
             if w is None:
                 continue
             hits += 1
-            scaled = fc.PartialDual(pd.H * np.array(w.w), pd.indices)
-            out = fc.complete_direct(fr, scaled)
-            assert not isinstance(out, fc.NoCompletion)
+            for route in ROUTES:
+                out = route(fr, pd.scaled(w.w))
+                assert not isinstance(out, fc.NoCompletion)
         assert hits >= 20

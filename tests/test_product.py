@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import random_frame, random_partial
+from helpers import ROUTES, random_frame, random_partial
 
 F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
 P_SPARSE = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0],
@@ -32,24 +32,6 @@ def wide_family_member(a, b):
 
 
 P_WIDE_ELIM = fc.eliminate_with_product(fc.adjoint(F_WIDE))
-
-
-class TestBlocks:
-    def test_partition_reassembles(self):
-        blocks = fc.product_blocks(P_1234, 2, 1)
-        assert np.array_equal(blocks.P, P_1234)
-        assert blocks.tl.shape == (2, 1) and blocks.br.shape == (2, 3)
-        top = np.hstack([blocks.tl, blocks.tr])
-        bottom = np.hstack([blocks.bl, blocks.br])
-        assert np.array_equal(np.vstack([top, bottom]), P_1234)
-
-    def test_edge_widths(self):
-        assert fc.product_blocks(P_1234, 2, 0).tl.shape == (2, 0)
-        assert fc.product_blocks(P_1234, 2, 4).br.shape == (2, 0)
-        with pytest.raises(fc.BadShape):
-            fc.product_blocks(P_1234, 2, 5)
-        with pytest.raises(fc.BadShape):
-            fc.product_blocks(np.ones((3, 4)), 2, 1)
 
 
 class TestDualFromA:
@@ -163,52 +145,55 @@ class TestCompleteViaProduct:
 
 
 class TestRankZeroShortcut:
+    # prescribing positions (1, 2) of F_SPARSE gives P_bl = 0: the
+    # prescription cannot touch A, so it is either forced or infeasible
     def setup_method(self):
         self.fr = fc.make_frame(F_SPARSE)
-        perm = [1, 2, 0, 3]
-        elim = fc.eliminate_with_product(fc.adjoint(self.fr.mat[:, perm]))
-        self.blocks = fc.product_blocks(elim.P, 3, 2)
 
     def test_blocks_qualify(self):
-        assert np.linalg.norm(self.blocks.bl) <= 1e-12
+        perm = [1, 2, 0, 3]
+        elim = fc.eliminate_with_product(fc.adjoint(self.fr.mat[:, perm]))
+        assert np.linalg.norm(elim.P[3:, :2]) <= 1e-12
 
     def test_consistent_prescription_frees_everything(self):
         # every dual of this frame carries e2 and e3 at those positions
         pd = fc.PartialDual([[0.0, 0], [1, 0], [0, 1]], (1, 2))
-        out = fc.rank_zero_shortcut(self.fr, pd, self.blocks)
+        for route in (fc.complete_direct, fc.complete_via_product):
+            out = route(self.fr, pd)
+            assert isinstance(out, fc.Family)
+            assert out.family.dof == self.fr.n * (self.fr.k - self.fr.n)
+            assert fc.family_contains(out.family, fc.canonical_dual(self.fr))
+
+    @pytest.mark.xfail(reason="svd route: V*_bl is rounding noise here, and "
+                              "its eps*s_max rank cutoff counts the noise "
+                              "as rank 1, so it answers Unique")
+    def test_svd_route_frees_everything(self):
+        pd = fc.PartialDual([[0.0, 0], [1, 0], [0, 1]], (1, 2))
+        out = fc.complete_via_svd(self.fr, pd)
         assert isinstance(out, fc.Family)
         assert out.family.dof == self.fr.n * (self.fr.k - self.fr.n)
-        assert fc.family_contains(out.family, fc.canonical_dual(self.fr))
 
     def test_inconsistent_prescription_fails_fast(self):
         pd = fc.PartialDual([[0.1, 0], [1, 0], [0, 1]], (1, 2))
-        out = fc.rank_zero_shortcut(self.fr, pd, self.blocks)
-        assert isinstance(out, fc.NoCompletion)
-        assert out.certificate.rank_free == 0
-        assert out.certificate.rank_augmented == 1
-
-    def test_not_applicable_returns_none(self):
-        fr = fc.make_frame(F_1234)
-        blocks = fc.product_blocks(P_1234, 2, 1)
-        pd = fc.PartialDual([[0.0], [0.0]], (0,))
-        assert fc.rank_zero_shortcut(fr, pd, blocks) is None
+        outs = {route: route(self.fr, pd) for route in ROUTES}
+        for out in outs.values():
+            assert isinstance(out, fc.NoCompletion)
+            cert = out.certificate
+            assert cert.rank_free < cert.rank_augmented
+        # P_bl = 0: the product route's reduced system has rank 0
+        cert = outs[fc.complete_via_product].certificate
+        assert cert.rank_free == 0
+        assert cert.rank_augmented == 1
 
 
 class TestScaledProduct:
-    def test_rejects_any_zero_weight(self):
-        fr = fc.make_frame(F_COLLINEAR)
-        pd = fc.PartialDual(H_STUCK, (0, 1))
-        with pytest.raises(fc.ZeroWeight):
-            fc.complete_via_product_scaled(fr, pd,
-                                           fc.Weights((1.0, 0.0),
-                                                      allow_zero=True))
-
+    # weighted completion is every route run on pd.scaled(w)
     def test_matches_scaled_direct(self):
         fr = fc.make_frame(F_COLLINEAR)
         pd = fc.PartialDual(H_STUCK, (0, 1))
         w = fc.Weights((-2.75, -2.5))
         a = fc.complete_direct_scaled(fr, pd, w)
-        b = fc.complete_via_product_scaled(fr, pd, w)
+        b = fc.complete_via_product(fr, pd.scaled(w.w))
         assert isinstance(b, fc.Family)
         assert a.family.dof == b.family.dof
         rng = np.random.default_rng(101)
@@ -219,35 +204,46 @@ class TestScaledProduct:
     def test_unit_weights_match_unscaled(self):
         fr = fc.make_frame(F_WIDE)
         pd = fc.PartialDual(H_WIDE, (0, 1, 2))
-        plain = fc.complete_via_product(fr, pd).family
-        unit = fc.complete_via_product_scaled(
-            fr, pd, fc.Weights((1.0, 1.0, 1.0))).family
-        assert unit.dof == plain.dof
-        assert np.allclose(unit.particular, plain.particular)
-        for coeffs in (np.zeros(plain.dof), np.array([1.0, -2.0])):
-            assert fc.family_contains(plain, fc.family_sample(unit, coeffs))
+        for route in ROUTES:
+            plain = route(fr, pd).family
+            unit = route(fr, pd.scaled((1.0, 1.0, 1.0))).family
+            assert unit.dof == plain.dof
+            assert np.allclose(unit.particular, plain.particular)
+            for coeffs in (np.zeros(plain.dof), np.array([1.0, -2.0])):
+                assert fc.family_contains(plain,
+                                          fc.family_sample(unit, coeffs))
 
     def test_doubled_weights_rescue_hadamard_extension(self):
         fr = fc.make_frame(F_HADAMARD)
-        pd = fc.PartialDual(H_HADAMARD, (0, 1))
-        w = fc.Weights((2.0, 2.0))
-        out = fc.complete_via_product_scaled(fr, pd, w)
-        assert isinstance(out, fc.Unique)
+        pd = fc.PartialDual(H_HADAMARD, (0, 1)).scaled((2.0, 2.0))
         # free block solves I*G1' = I - F0 W H* by hand
         want = np.array([[1.0, 1, -1, 0], [1, -1, 0, -1]])
-        assert np.linalg.norm(out.G - want) <= 1e-12
-        mirror = fc.complete_direct_scaled(fr, pd, w)
-        assert np.linalg.norm(out.G - mirror.G) <= 1e-12
-        assert fc.is_dual_pair(fr, out.G)
+        for route in ROUTES:
+            out = route(fr, pd)
+            assert isinstance(out, fc.Unique)
+            assert np.linalg.norm(out.G - want) <= 1e-12
+            assert fc.is_dual_pair(fr, out.G)
+
+    def test_zero_weight_prescribes_zero_column(self):
+        fr = fc.make_frame(F_HADAMARD)
+        pd = fc.PartialDual(H_HADAMARD, (0, 1)).scaled((0.0, 2.0))
+        want = np.array([[0.0, 1, 0, 1], [0, -1, 1, 0]])
+        for route in ROUTES:
+            out = route(fr, pd)
+            assert isinstance(out, fc.Unique)
+            assert np.linalg.norm(out.G - want) <= 1e-12
 
     def test_infeasible_weights_agree_with_direct(self):
         fr = fc.make_frame(F_COLLINEAR)
         pd = fc.PartialDual(H_STUCK, (0, 1))
         w = fc.Weights((2.0, 3.0))
         a = fc.complete_direct_scaled(fr, pd, w)
-        b = fc.complete_via_product_scaled(fr, pd, w)
         assert isinstance(a, fc.NoCompletion)
-        assert isinstance(b, fc.NoCompletion)
+        outs = {route: route(fr, pd.scaled(w.w)) for route in ROUTES}
+        for b in outs.values():
+            assert isinstance(b, fc.NoCompletion)
+            assert b.certificate.rank_free < b.certificate.rank_augmented
+        b = outs[fc.complete_via_product]
         assert a.certificate.rank_free == b.certificate.rank_free
         assert a.certificate.rank_augmented == b.certificate.rank_augmented
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import random_dual, random_frame, random_partial
+from helpers import ROUTES, random_dual, random_frame, random_partial
 
 F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
 H_TRIPLE = np.array([[2.0, 0], [1, 1], [3, 0]])
@@ -175,18 +175,34 @@ class TestCompleteViaSvd:
                     1.0, np.linalg.norm(a.G))
 
 
+def outcome_contains(out, g) -> bool:
+    """Whether g is one of the duals a completion outcome describes."""
+    if isinstance(out, fc.Unique):
+        return np.linalg.norm(out.G - g) <= 1e-9 * max(1.0, np.linalg.norm(g))
+    if isinstance(out, fc.Family):
+        return fc.family_contains(out.family, g)
+    return False
+
+
 class TestCanonicalPrefix:
+    # columns taken from the canonical dual (the X = 0 branch) keep it
+    # completable on every route; perturbed columns exclude it
     def test_detects_canonical_columns(self):
         fr = fc.make_frame(F_SPARSE)
         canon = fc.canonical_dual(fr)
-        assert fc.is_canonical_prefix(fr, fc.PartialDual(canon[:, :2], (0, 1)))
-        assert fc.is_canonical_prefix(fr, fc.PartialDual(np.zeros((3, 0))))
+        for pd in (fc.PartialDual(canon[:, :2], (0, 1)),
+                   fc.PartialDual(np.zeros((3, 0)))):
+            for route in ROUTES:
+                assert outcome_contains(route(fr, pd), canon)
 
     def test_rejects_perturbed_columns(self):
         fr = fc.make_frame(F_SPARSE)
-        h = fc.canonical_dual(fr)[:, :2]
+        canon = fc.canonical_dual(fr)
+        h = canon[:, :2].copy()
         h[0, 0] += 1e-3
-        assert not fc.is_canonical_prefix(fr, fc.PartialDual(h, (0, 1)))
+        for route in ROUTES:
+            assert not outcome_contains(route(fr, fc.PartialDual(h, (0, 1))),
+                                        canon)
 
     def test_interior_positions(self):
         rng = np.random.default_rng(137)
@@ -194,6 +210,7 @@ class TestCanonicalPrefix:
         canon = fc.canonical_dual(fr)
         idx = (1, 4)
         pd = fc.PartialDual(canon[:, list(idx)], idx)
-        assert fc.is_canonical_prefix(fr, pd)
         off = fc.PartialDual(canon[:, list(idx)] + 0.01, idx)
-        assert not fc.is_canonical_prefix(fr, off)
+        for route in ROUTES:
+            assert outcome_contains(route(fr, pd), canon)
+            assert not outcome_contains(route(fr, off), canon)
