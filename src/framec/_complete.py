@@ -37,10 +37,11 @@ def leading_permutation(pd: PartialDual, k: int) -> np.ndarray:
 
 
 def unpermute(gp: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Undo a column permutation: column perm[j] of the result is gp[:, j]."""
-    out = np.empty_like(gp)
-    out[:, perm] = gp
-    return out
+    """Undo a column permutation: column perm[j] of the result is gp[:, j].
+
+    np.take keeps the result C-contiguous; gp[:, idx] would not.
+    """
+    return np.take(gp, np.argsort(perm), axis=1)
 
 
 def assemble_outcome(f: Frame, pd: PartialDual, lin: LinSolve,
@@ -55,8 +56,9 @@ def assemble_outcome(f: Frame, pd: PartialDual, lin: LinSolve,
     particular + C @ W over all n x d matrices C.
     """
     if not lin.consistent:
+        # the solve's kernel already counts coef's rank at the same cutoff
         cert = Certificate(
-            rank_free=numerical_rank(coef),
+            rank_free=coef.shape[1] - lin.nullspace.shape[1],
             rank_augmented=numerical_rank(np.hstack([coef, rhs])),
             projector_residual=lin.residual)
         return NoCompletion(certificate=cert)

@@ -16,10 +16,9 @@ import numpy as np
 
 from ._complete import (assemble_outcome, check_partial, leading_permutation)
 from .errors import BadShape, NotDualPair
-from .frames import (CompletionOutcome, Family, Frame, PartialDual,
-                     SolutionFamily, Unique, dual_residual, make_frame)
-from .linalg import (adjoint, as_matrix, nullspace_basis, pseudoinverse,
-                     solve_min_norm)
+from .frames import (CompletionOutcome, Frame, PartialDual, dual_residual,
+                     make_frame)
+from .linalg import adjoint, as_matrix, pseudoinverse, solve_min_norm
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,12 @@ class Weights:
 def extend_dual_pair(f0: Frame, g0, f1) -> CompletionOutcome:
     """All duals of [F0 F1] that keep the prescribed block G0.
 
-    Requires (F0, G0) to be a dual pair.  The extensions are exactly
-    [G0 G1] with F1 @ G1* = 0, so G1 = 0 is the particular solution and
-    the family has one degree of freedom per (kernel direction of F1,
-    row).  Independent columns of F1 force the unique extension [G0 0].
+    Requires (F0, G0) to be a dual pair.  This is the direct completion
+    of [F0 F1] with G0 prescribed at the leading positions: the
+    extensions are [G0 G1] with F1 @ G1* = I - F0 @ G0*, so the
+    directions span the kernel of F1 and independent columns of F1 give
+    a unique extension.  The particular dual is exactly [G0 0] when
+    F0 @ G0* = I holds exactly, and within rounding of it otherwise.
     """
     g0 = as_matrix(g0)
     if dual_residual(f0, g0) > f0.tol:
@@ -51,19 +52,8 @@ def extend_dual_pair(f0: Frame, g0, f1) -> CompletionOutcome:
     f1 = as_matrix(f1, allow_empty=True)
     if f1.shape[0] != f0.n:
         raise BadShape(f"F1 has {f1.shape[0]} rows, expected {f0.n}")
-    n, s = f0.n, f0.k
-    combined = make_frame(np.hstack([f0.mat, f1]))
-    k = combined.k
-    particular = np.hstack([g0, np.zeros((n, k - s), dtype=g0.dtype)])
-    pd = PartialDual(g0, tuple(range(s)))
-    nh = adjoint(nullspace_basis(f1))
-    if nh.shape[0] == 0:
-        return Unique(G=particular)
-    w = np.zeros((nh.shape[0], k), dtype=combined.mat.dtype)
-    w[:, s:] = nh
-    fam = SolutionFamily(frame=combined, particular=particular,
-                         directions=w, prescribed=pd)
-    return Family(family=fam)
+    return complete_direct(make_frame(np.hstack([f0.mat, f1])),
+                           PartialDual(g0, tuple(range(f0.k))))
 
 
 def complete_direct(f: Frame, pd: PartialDual) -> CompletionOutcome:
@@ -103,19 +93,16 @@ def complete_direct_scaled(f: Frame, pd: PartialDual,
     return complete_direct(f, pd.scaled(w.w))
 
 
-def solve_weights(f: Frame, pd: PartialDual,
-                  tol: float | None = None) -> Weights | None:
+def solve_weights(f: Frame, pd: PartialDual) -> Weights | None:
     """Real weights making the scaled completion problem solvable.
 
     The solvability condition asks the columns of I - sum w_i f_i h_i*
     to lie in the span of the free frame columns; projecting onto the
     orthogonal complement of that span makes the condition linear in w,
     so one real least-squares solve finds the best weights.  Returns
-    None when even the optimal weights leave a residual above tol.
+    None when even the optimal weights leave a residual above f.tol.
     """
     check_partial(f, pd)
-    if tol is None:
-        tol = f.tol
     perm = leading_permutation(pd, f.k)
     fp = f.mat[:, perm]
     s = pd.s
@@ -128,7 +115,7 @@ def solve_weights(f: Frame, pd: PartialDual,
     if np.iscomplexobj(m) or np.iscomplexobj(target):
         m = np.vstack([m.real, m.imag])
         target = np.concatenate([target.real, target.imag])
-    lin = solve_min_norm(m, target.reshape(-1, 1), tol=tol)
+    lin = solve_min_norm(m, target.reshape(-1, 1), tol=f.tol)
     if not lin.consistent:
         return None
     return Weights(tuple(lin.solution.ravel()))

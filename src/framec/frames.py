@@ -199,10 +199,10 @@ def frame_bounds(f: Frame) -> FrameBounds:
     return FrameBounds(lower=float(s[f.n - 1] ** 2), upper=float(s[0] ** 2))
 
 
-def is_tight(f: Frame, rtol: float = 1e-9) -> bool:
-    """Whether the frame bounds coincide up to relative slack rtol."""
+def is_tight(f: Frame) -> bool:
+    """Whether the frame bounds coincide up to relative slack 1e-9."""
     b = frame_bounds(f)
-    return b.upper - b.lower <= rtol * b.upper
+    return b.upper - b.lower <= 1e-9 * b.upper
 
 
 def frame_operator(f: Frame) -> np.ndarray:

@@ -47,23 +47,23 @@ def default_tol(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Full SVD of an n x k matrix with n <= k: M = U @ sigma_matrix() @ V*."""
+    """Full SVD of an n x k matrix with n <= k: M = U @ sigma_matrix() @ vh."""
 
     U: np.ndarray      # n x n unitary
     sigma: np.ndarray  # length n, non-increasing, >= 0
-    V: np.ndarray      # k x k unitary, columns are right singular vectors
+    vh: np.ndarray     # k x k unitary V*, rows are right singular vectors
 
     def sigma_matrix(self) -> np.ndarray:
         """The n x k rectangular diagonal factor."""
         n = self.sigma.shape[0]
-        k = self.V.shape[0]
+        k = self.vh.shape[0]
         out = np.zeros((n, k), dtype=self.U.dtype)
         out[:n, :n] = np.diag(self.sigma)
         return out
 
     @property
-    def vh(self) -> np.ndarray:
-        return adjoint(self.V)
+    def V(self) -> np.ndarray:
+        return adjoint(self.vh)
 
 
 def svd(m) -> SvdFactors:
@@ -73,7 +73,7 @@ def svd(m) -> SvdFactors:
     if n > k:
         raise BadShape(f"expected rows <= cols, got {n} x {k}; transpose first")
     u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return SvdFactors(U=u, sigma=s, V=adjoint(vh))
+    return SvdFactors(U=u, sigma=s, vh=vh)
 
 
 def _default_cutoff(s: np.ndarray, shape: tuple) -> float:
@@ -116,16 +116,14 @@ def pseudoinverse(m) -> np.ndarray:
     return adjoint(vh) @ (inv[:, None] * adjoint(u))
 
 
-def nullspace_basis(m, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (as columns) for the kernel of m."""
+def nullspace_basis(m) -> np.ndarray:
+    """Orthonormal kernel basis (as columns) at numerical_rank's cutoff."""
     m = as_matrix(m, allow_empty=True)
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=m.dtype)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    if tol is None:
-        tol = _default_cutoff(s, m.shape)
-    rank = int(np.count_nonzero(s > tol))
+    rank = int(np.count_nonzero(s > _default_cutoff(s, m.shape)))
     return adjoint(vh[rank:, :])
 
 

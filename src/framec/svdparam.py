@@ -39,7 +39,7 @@ def dual_param(f: Frame, x) -> DualParam:
 def dual_from_X(dp: DualParam) -> np.ndarray:
     """Realize the dual G = U [Sigma^{-1} X] V*."""
     n = dp.factors.sigma.shape[0]
-    k = dp.factors.V.shape[0]
+    k = dp.factors.vh.shape[0]
     if dp.sigma_inv.shape != (n,):
         raise BadShape(f"sigma_inv must have length {n}")
     if dp.X.shape != (n, k - n):
@@ -65,6 +65,9 @@ def complete_via_svd(f: Frame, pd: PartialDual) -> CompletionOutcome:
     n, s = f.n, pd.s
     dtype = np.result_type(fp.dtype, pd.H.dtype)
     coef = adjoint(vh[n:, :s]).astype(dtype)
+    # V*_bl is a block of a unitary factor: a norm this small is rounding
+    if np.linalg.norm(coef) <= np.finfo(np.float64).eps * f.k:
+        coef = np.zeros_like(coef)
     rhs_x = adjoint(fac.U) @ pd.H - sig_inv[:, None] * vh[:n, :s]
     lin = solve_min_norm(coef, adjoint(rhs_x), tol=f.tol)
     x = adjoint(lin.solution)

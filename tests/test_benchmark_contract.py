@@ -1,0 +1,144 @@
+"""What the benchmark in perfbench/ needs from the package.
+
+BENCHMARK.json names per-layer metrics after framec functions, and the
+benchmark's tracer wraps the public functions of each module by name, so
+a refactor that renames such a function or stops calling it breaks the
+benchmark.  The tier-1 suite does not collect perfbench/, so these tests
+load its tracer from the file (read only) and check the contract here.
+They also pin how many SVDs a three-route decide takes.
+"""
+
+import contextlib
+import importlib
+import importlib.util
+import inspect
+import json
+import os
+
+import numpy as np
+import pytest
+
+import framec as fc
+from framec import cli
+from helpers import ROUTES
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
+H_STUCK = np.array([[1.0, 3], [2, 4]])
+F_1234 = np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]])
+F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
+H_TRIPLE = np.array([[2.0, 0], [1, 1], [3, 0]])
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load_tracing()
+
+
+def traced_functions():
+    """(module, function) for every framec function BENCHMARK.json names.
+
+    A per-layer metric `<layer>.<function>.<statistic>` is read off the
+    tracer's span or count of that function.
+    """
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    layers = {tracing.layer_name(m): m for m in tracing.MODULES}
+    out = set()
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[0] in layers:
+            out.add((layers[parts[0]], parts[1]))
+    return sorted(out)
+
+
+def test_named_functions_are_public_functions_of_their_module():
+    names = traced_functions()
+    assert ("linalg", "solve_min_norm") in names
+    for module, name in names:
+        mod = importlib.import_module(f"framec.{module}")
+        fn = getattr(mod, name, None)
+        assert inspect.isfunction(fn), f"{module}.{name}"
+        assert fn.__module__ == mod.__name__, f"{module}.{name}"
+        assert not name.startswith("_")
+        if module == "cli":
+            assert name in tracing.CLI_WRAPPED
+
+
+def three_route_decide(fr, pd):
+    return [route(fr, pd) for route in ROUTES]
+
+
+def test_every_named_function_is_called(tmp_path):
+    f_path, h_path = str(tmp_path / "f.csv"), str(tmp_path / "h.csv")
+    fc.write_matrix(F_1234, f_path)
+    fc.write_matrix(np.array([[1.0], [0.0]]), h_path)
+    report, dual = str(tmp_path / "report.json"), str(tmp_path / "g.csv")
+    tracer = tracing.Tracer()
+    with tracer.active("test"):
+        outs = three_route_decide(fc.make_frame(F_1234),
+                                  fc.PartialDual(np.array([[1.0], [0.0]])))
+        fam = outs[0].family
+        g = fc.family_sample(fam, np.linspace(-1.0, 1.0, fam.dof))
+        assert fc.family_contains(fam, g)
+        outs += three_route_decide(fc.make_frame(F_SPARSE),
+                                   fc.PartialDual(H_TRIPLE))
+        outs += three_route_decide(fc.make_frame(F_COLLINEAR),
+                                   fc.PartialDual(H_STUCK))
+        with open(report, "w", encoding="utf-8") as out, \
+                contextlib.redirect_stdout(out):
+            assert cli.run(["complete", f_path, h_path,
+                            "--output", dual]) == 0
+        with open(os.devnull, "w", encoding="utf-8") as out, \
+                contextlib.redirect_stdout(out):
+            assert cli.run(["sample", report, "--output", dual]) == 0
+    assert [type(o) for o in outs] == [fc.Family] * 3 + [fc.Unique] * 3 + [
+        fc.NoCompletion] * 3
+    totals = tracer.totals()
+    for module, name in traced_functions():
+        key = f"{module}.{name}"
+        assert totals.get(key, {}).get("calls", 0) >= 1, key
+        assert totals[key]["errors"] == 0, key
+    assert totals[tracing.SVD]["calls"] >= 1
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counter of numpy.linalg.svd calls made while the test runs."""
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_no_completion_decide_takes_eleven_svds(svd_calls):
+    # per route: the reduced solve's pseudoinverse and kernel, and the
+    # certificate's augmented rank; product adds its rank check, svd the
+    # factorization of F; rank_free comes from the solve's kernel
+    fr = fc.make_frame(F_COLLINEAR)
+    pd = fc.PartialDual(H_STUCK)
+    svd_calls[0] = 0
+    outs = three_route_decide(fr, pd)
+    assert all(isinstance(o, fc.NoCompletion) for o in outs)
+    assert svd_calls[0] <= 11
+
+
+def test_family_decide_takes_eight_svds(svd_calls):
+    fr = fc.make_frame(F_1234)
+    pd = fc.PartialDual(np.array([[1.0], [0.0]]))
+    svd_calls[0] = 0
+    outs = three_route_decide(fr, pd)
+    assert all(isinstance(o, fc.Family) for o in outs)
+    assert svd_calls[0] <= 8

@@ -222,6 +222,17 @@ class TestComplete:
             got = np.array(rep["dual"]["data"]).reshape(3, 4)
             assert np.linalg.norm(got - G_TRIPLE) <= 1e-8
 
+    def test_noise_block_still_frees_everything(self, files, capsys):
+        # at positions 2 and 3 of F_SPARSE the svd route's V*_bl is
+        # rounding noise; every route must agree on the full family
+        code, rep, err = run_json(
+            ["complete", files("f.csv", F_SPARSE),
+             files("h.csv", [[0.0, 0], [1, 0], [0, 1]]), "--indices", "2,3"],
+            capsys)
+        assert code == 0, err
+        assert rep["status"] == "family"
+        assert rep["dof"] == 3
+
     def test_no_completion(self, files, capsys):
         code, rep, _ = run_json(
             ["complete", files("f.csv", F_COLLINEAR),

@@ -131,6 +131,48 @@ class TestExtendDualPair:
                 assert fc.is_dual_pair(fr, g)
 
 
+def same_row_space(a, b, tol=1e-9):
+    """Whether the rows of a and of b span the same space."""
+    ra, rb = np.linalg.matrix_rank(a, tol), np.linalg.matrix_rank(b, tol)
+    return ra == rb == np.linalg.matrix_rank(np.vstack([a, b]), tol)
+
+
+class TestExtendIsDirectCompletion:
+    # extending (F0, G0) by F1 is the direct completion of [F0 F1] with G0
+    # prescribed at the leading positions
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_matches_direct_on_combined_frame(self, complex_field):
+        rng = np.random.default_rng(223 + complex_field)
+        kinds = set()
+        for _ in range(20):
+            fr0 = random_frame(rng, k_max=6, complex_field=complex_field)
+            g0 = random_dual(rng, fr0)
+            f1 = rng.uniform(-2.0, 2.0, (fr0.n, int(rng.integers(1, 5))))
+            if complex_field:
+                f1 = f1 + 1j * rng.uniform(-2.0, 2.0, f1.shape)
+            out = fc.extend_dual_pair(fr0, g0, f1)
+            ref = fc.complete_direct(
+                fc.make_frame(np.hstack([fr0.mat, f1])),
+                fc.PartialDual(g0, tuple(range(fr0.k))))
+            assert type(out) is type(ref)
+            kinds.add(type(out))
+            zero_block = np.hstack([g0, np.zeros((fr0.n, f1.shape[1]))])
+            if isinstance(out, fc.Unique):
+                assert np.linalg.norm(out.G - zero_block) <= 1e-12
+                continue
+            fam = out.family
+            assert fam.dof == ref.family.dof
+            assert same_row_space(fam.directions, ref.family.directions)
+            # the directions are [0 | N*] for a kernel basis N of F1
+            _, sv, vh = np.linalg.svd(f1)
+            kernel = vh[np.count_nonzero(sv > 1e-12):, :]
+            assert same_row_space(
+                fam.directions,
+                np.hstack([np.zeros((kernel.shape[0], fr0.k)), kernel]))
+            assert np.linalg.norm(fam.particular - zero_block) <= 1e-12
+        assert kinds == {fc.Unique, fc.Family}
+
+
 class TestCompleteDirect:
     def test_no_completion_certificate(self):
         fr = fc.make_frame(F_COLLINEAR)
@@ -140,6 +182,28 @@ class TestCompleteDirect:
         assert cert.rank_free == 1
         assert cert.rank_augmented == 2
         assert cert.projector_residual > 1e-6
+
+    def test_rank_free_is_rank_of_free_columns(self):
+        # the certificate reads rank_free off the solve's kernel; it must
+        # equal the rank of the free frame columns
+        rng = np.random.default_rng(227)
+        seen = 0
+        for trial in range(60):
+            fr = random_frame(rng, n=int(rng.integers(2, 5)), k_max=8,
+                              complex_field=bool(trial % 2))
+            if trial % 3 == 0:  # collinear free columns: a rank drop
+                m = fr.mat.copy()
+                m[:, -1] = 2.0 * m[:, -2]
+                fr = fc.make_frame(m)
+            pd = random_partial(rng, fr, s=int(rng.integers(1, fr.k)))
+            out = fc.complete_direct(fr, pd)
+            if not isinstance(out, fc.NoCompletion):
+                continue
+            free = np.delete(fr.mat, list(pd.indices), axis=1)
+            assert out.certificate.rank_free == fc.numerical_rank(free)
+            assert out.certificate.rank_free < out.certificate.rank_augmented
+            seen += 1
+        assert seen >= 20
 
     def test_family_matches_closed_form(self):
         fr = fc.make_frame(F_WIDE)

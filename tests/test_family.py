@@ -151,6 +151,15 @@ def test_family_contains_matches_dense_least_squares(name):
         assert dense_contains(sub, g) is want
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_family_arrays_are_c_contiguous(name):
+    # un-permuting must not leave column-major arrays behind: the
+    # products in family_sample and family_contains run slower on them
+    fam = FAMILIES[name]
+    assert fam.particular.flags["C_CONTIGUOUS"]
+    assert fam.directions.flags["C_CONTIGUOUS"]
+
+
 def test_product_directions_are_not_orthonormal():
     # the membership test must not assume orthonormal direction rows
     w = FAMILIES["product-real"].directions

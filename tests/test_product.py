@@ -164,9 +164,6 @@ class TestRankZeroShortcut:
             assert out.family.dof == self.fr.n * (self.fr.k - self.fr.n)
             assert fc.family_contains(out.family, fc.canonical_dual(self.fr))
 
-    @pytest.mark.xfail(reason="svd route: V*_bl is rounding noise here, and "
-                              "its eps*s_max rank cutoff counts the noise "
-                              "as rank 1, so it answers Unique")
     def test_svd_route_frees_everything(self):
         pd = fc.PartialDual([[0.0, 0], [1, 0], [0, 1]], (1, 2))
         out = fc.complete_via_svd(self.fr, pd)
