@@ -282,9 +282,18 @@ def cmd_sample(args) -> int:
     status = rep.get("status") if isinstance(rep, dict) else None
     if status != "family":
         raise NotAFamily(f"report status is {status!r}, need 'family'")
+    if "dual" not in rep:
+        raise _Usage("family report has no 'dual'")
     dual = matrix_from_jsonable(rep["dual"])
-    basis = [matrix_from_jsonable(b) for b in rep.get("basis", [])]
-    dof = int(rep.get("dof", len(basis)))
+    listed = rep.get("basis", [])
+    if not isinstance(listed, list):
+        raise _Usage("report basis must be a list of matrices")
+    basis = [matrix_from_jsonable(b) for b in listed]
+    try:
+        dof = int(rep.get("dof", len(basis)))
+    except (TypeError, ValueError):
+        raise _Usage(f"report dof must be an integer, got {rep['dof']!r}"
+                     ) from None
     if dof != len(basis):
         raise _Usage(f"report lists dof={dof} but {len(basis)} basis matrices")
     if any(b.shape != dual.shape for b in basis):

@@ -177,9 +177,15 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     """Row-reduce a tall full-column-rank matrix, accumulating the row ops.
 
     Gauss-Jordan with partial pivoting on the k x n input (k >= n) builds
-    an invertible k x k matrix P with P @ fstar = [I_n; 0].  Each pivot
-    clears its column with one rank-1 update of the working matrix and
-    of P.  P is not unique; callers must only rely on the residual
+    an invertible k x k matrix P with P @ fstar = [I_n; 0].  Only the n
+    columns of P that belong to the pivot rows ever change; the other
+    k - n columns stay a permuted identity.  So the loop runs on the
+    k x 2n block [fstar | Q], where Q holds P's n pivot columns and a
+    length-k row order records the swaps, and P is filled in once at the
+    end.  Each pivot clears its column with one rank-1 update of that
+    block, which applies to every entry of Q the same floating-point
+    operations that updating all k columns of P would, so P comes out
+    the same.  P is not unique; callers must only rely on the residual
     contract.
     """
     fstar = as_matrix(fstar)
@@ -190,22 +196,27 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
         tol = default_tol(fstar)
     if numerical_rank(fstar, tol) < n:
         raise RankDeficient(f"matrix has numerical rank < {n}")
-    work = fstar.copy()
-    p = np.eye(k, dtype=fstar.dtype)
+    aug = np.zeros((k, 2 * n), dtype=fstar.dtype)
+    aug[:, :n] = fstar
+    order = np.arange(k)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(work[col:, col])))
-        if np.abs(work[piv, col]) <= tol:
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) <= tol:
             raise RankDeficient(f"no usable pivot in column {col}")
         if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            p[[col, piv]] = p[[piv, col]]
-        scale = 1.0 / work[col, col]
-        work[col] *= scale
-        p[col] *= scale
-        factors = work[:, col].copy()
+            row = aug[col].copy()
+            aug[col] = aug[piv]
+            aug[piv] = row
+            order[col], order[piv] = order[piv], order[col]
+        # P's identity entry for the original row now at position col
+        aug[col, n + col] = 1
+        aug[col] *= 1.0 / aug[col, col]
+        factors = aug[:, col].copy()
         factors[col] = 0
-        work -= factors[:, None] * work[col]
-        p -= factors[:, None] * p[col]
+        aug -= factors[:, None] * aug[col]
+    p = np.zeros((k, k), dtype=fstar.dtype)
+    p[:, order[:n]] = aug[:, n:]
+    p[np.arange(n, k), order[n:]] = 1
     target = np.zeros((k, n), dtype=fstar.dtype)
     target[:n, :n] = np.eye(n)
     residual = float(np.linalg.norm(p @ fstar - target))

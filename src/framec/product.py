@@ -49,7 +49,7 @@ def complete_via_product(f: Frame, pd: PartialDual,
         elimination = eliminate_with_product(adjoint(fp), tol=f.tol)
     n, s = f.n, pd.s
     dtype = np.result_type(f.mat.dtype, pd.H.dtype, elimination.P.dtype)
-    p = elimination.P.astype(dtype)
+    p = elimination.P.astype(dtype, copy=False)
     coef = adjoint(p[n:, :s])
     rhs = adjoint(pd.H) - adjoint(p[:n, :s])
     lin = solve_min_norm(coef, rhs, tol=f.tol)

@@ -23,6 +23,23 @@ def random_frame(rng, n=None, k=None, complex_field=False, n_max=4, k_max=8):
             return fc.make_frame(m)
 
 
+def conditioned_frame(rng, n, k, cond, complex_field=False):
+    """Frame F = U diag(sigma) V* with condition number cond.
+
+    U is a random n x n unitary and V* a random n x k matrix with
+    orthonormal rows; sigma is spread geometrically from 1 down to
+    1/cond, so sigma_max = 1 and sigma_min = 1/cond.
+    """
+    def haar(rows, cols):
+        m = rng.standard_normal((rows, cols))
+        if complex_field:
+            m = m + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(m)[0]
+
+    sigma = np.geomspace(1.0, 1.0 / cond, n)
+    return fc.make_frame(haar(n, n) @ (sigma[:, None] * haar(k, n).conj().T))
+
+
 def random_partial(rng, fr, s=None, from_dual=None):
     """Random prescription at random positions.
 

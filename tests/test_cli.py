@@ -411,6 +411,23 @@ class TestSample:
         assert cli.run(["sample", str(bad)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("edit", [
+        lambda rep: rep.pop("dual"),
+        lambda rep: rep.update(dof="x"),
+        lambda rep: rep.update(basis=5),
+    ], ids=["no-dual", "non-integer-dof", "non-list-basis"])
+    def test_malformed_family_report_is_usage_error(self, files, capsys,
+                                                    edit):
+        rep = json.loads(open(self.complete_family(files, capsys)).read())
+        edit(rep)
+        bad = files.dir / "bad.json"
+        bad.write_text(json.dumps(rep))
+        assert cli.run(["sample", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestComplexRoundTrip:
     def test_complete_sample_verify(self, files, capsys):

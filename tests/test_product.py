@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import framec as fc
-from helpers import ROUTES, random_frame, random_partial
+from framec._complete import leading_permutation
+from helpers import (ROUTES, conditioned_frame, random_frame,
+                     random_partial)
 
 F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
 P_SPARSE = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0],
@@ -273,3 +276,72 @@ class TestLeadingBlockOracle:
                 assert gap <= 1e-8 * max(1.0, np.linalg.norm(out.G))
             verdicts[feasible] += 1
         assert min(verdicts.values()) >= 10
+
+
+def eliminate_dense(fstar):
+    """Reference Gauss-Jordan that updates all k columns of P per pivot."""
+    work = np.array(fstar, order="C")
+    k, n = work.shape
+    p = np.eye(k, dtype=work.dtype)
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(work[col:, col])))
+        if piv != col:
+            work[[col, piv]] = work[[piv, col]]
+            p[[col, piv]] = p[[piv, col]]
+        scale = 1.0 / work[col, col]
+        work[col] *= scale
+        p[col] *= scale
+        factors = work[:, col].copy()
+        factors[col] = 0
+        work -= factors[:, None] * work[col]
+        p -= factors[:, None] * p[col]
+    return p
+
+
+def assert_same_outcome(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, fc.Unique):
+        assert np.array_equal(a.G, b.G)
+    elif isinstance(a, fc.Family):
+        assert np.array_equal(a.family.particular, b.family.particular)
+        assert np.array_equal(a.family.directions, b.family.directions)
+    else:
+        for field in dataclasses.fields(a.certificate):
+            assert getattr(a.certificate, field.name) \
+                == getattr(b.certificate, field.name)
+
+
+@pytest.mark.parametrize("complex_field", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("k,n", [(24, 8), (60, 20), (400, 8)])
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+def test_elimination_is_the_dense_loop_bit_for_bit(k, n, cond,
+                                                   complex_field):
+    # the k x 2n pivot-block loop must reproduce the k x k update exactly:
+    # an equally valid but different P can flip a near-threshold verdict
+    rng = np.random.default_rng(233)
+    fr = conditioned_frame(rng, n, k, cond, complex_field)
+    fstar = fc.adjoint(fr.mat)
+    elim = fc.eliminate_with_product(fstar)
+    p = eliminate_dense(fstar)
+    assert np.array_equal(elim.P, p)
+    target = np.eye(k, n)
+    assert elim.residual == float(np.linalg.norm(p @ fstar - target))
+
+    g = fc.canonical_dual(fr)
+    noise = rng.standard_normal(g.shape)
+    kinds = []
+    for s, eps in ((n, 0.0), (k - n, 0.0), (k - n + 1, 1e-3)):
+        idx = tuple(sorted(rng.choice(k, size=s, replace=False).tolist()))
+        h = g[:, list(idx)] + eps * noise[:, :s]
+        pd = fc.PartialDual(h, idx)
+        perm = leading_permutation(pd, k)
+        fpstar = fc.adjoint(fr.mat[:, perm])
+        pp = eliminate_dense(fpstar)
+        dense = fc.Elimination(pp, float(np.linalg.norm(pp @ fpstar
+                                                         - target)))
+        out = fc.complete_via_product(fr, pd)
+        assert_same_outcome(out, fc.complete_via_product(fr, pd,
+                                                         elimination=dense))
+        kinds.append(type(out))
+    assert kinds == [fc.Family, fc.Unique, fc.NoCompletion]
