@@ -23,8 +23,6 @@ def check_partial(f: Frame, pd: PartialDual) -> None:
     if pd.H.shape[0] != f.n:
         raise BadShape(
             f"prescribed columns have {pd.H.shape[0]} rows, frame has {f.n}")
-    if pd.s > f.k:
-        raise BadShape(f"{pd.s} prescribed columns for a frame with k={f.k}")
     if pd.indices and pd.indices[-1] >= f.k:
         raise BadShape(f"position {pd.indices[-1]} out of range 0..{f.k - 1}")
 

@@ -96,15 +96,16 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_tol(args) -> float | None:
-    if args.tol is not None:
-        return args.tol
+    tol, source = args.tol, "--tol"
     env = os.environ.get("FRAMEC_TOL")
-    if env:
+    if tol is None and env:
         try:
-            return float(env)
+            tol, source = float(env), "FRAMEC_TOL"
         except ValueError:
             raise _Usage(f"FRAMEC_TOL is not a number: {env!r}") from None
-    return None
+    if tol is not None and not 0 < tol < np.inf:
+        raise _Usage(f"{source} must be finite and positive, got {tol!r}")
+    return tol
 
 
 def _emit(obj) -> None:

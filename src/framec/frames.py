@@ -39,6 +39,19 @@ class FrameBounds:
     upper: float  # largest squared singular value
 
 
+def _positions(values, k: float = np.inf) -> tuple:
+    """Distinct integer positions in [0, k); floats raise, not truncate."""
+    try:
+        out = tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise BadShape(f"positions must be integers: {values!r}") from None
+    if len(set(out)) != len(out):
+        raise BadShape("positions must be distinct")
+    if any(p < 0 or p >= k for p in out):
+        raise BadShape(f"positions must lie in [0, {k})")
+    return out
+
+
 @dataclass(frozen=True)
 class PartialDual:
     """Prescribed dual columns H at the given 0-based positions.
@@ -60,13 +73,9 @@ class PartialDual:
         idx = self.indices
         if idx is None:
             idx = tuple(range(s))
-        idx = tuple(int(i) for i in idx)
+        idx = _positions(idx)
         if len(idx) != s:
             raise BadShape(f"{s} prescribed columns but {len(idx)} indices")
-        if len(set(idx)) != s:
-            raise BadShape("prescribed positions must be distinct")
-        if any(i < 0 for i in idx):
-            raise BadShape("prescribed positions must be nonnegative")
         order = sorted(range(s), key=lambda j: idx[j])
         object.__setattr__(self, "H", h[:, order])
         object.__setattr__(self, "indices", tuple(idx[j] for j in order))
@@ -178,9 +187,9 @@ CompletionOutcome = NoCompletion | Unique | Family
 def make_frame(m, tol: float | None = None) -> Frame:
     """Validate m as a frame matrix and attach a working tolerance.
 
-    Default tolerance is 1e-9 * max(1, ||m||_F).  Raises BadShape when
-    k < n and NotAFrame when the rows are not linearly independent at
-    the tolerance.
+    Default tolerance is 1e-9 * max(1, ||m||_F).  Raises ValueError for
+    a tol that is not finite and positive, BadShape when k < n and
+    NotAFrame when the rows are dependent at the tolerance.
     """
     m = as_matrix(m)
     n, k = m.shape
@@ -188,6 +197,8 @@ def make_frame(m, tol: float | None = None) -> Frame:
         raise BadShape(f"need at least {n} columns, got {k}")
     if tol is None:
         tol = default_tol(m)
+    elif not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if numerical_rank(m, tol) < n:
         raise NotAFrame(f"matrix has numerical rank < {n} at tol {tol:g}")
     return Frame(mat=m, n=n, k=k, tol=float(tol))
@@ -289,11 +300,7 @@ def surgery_remove(f: Frame, g, positions) -> tuple[Frame, np.ndarray]:
     g = as_matrix(g)
     if g.shape != (f.n, f.k):
         raise BadShape(f"dual must be {f.n} x {f.k}, got {g.shape}")
-    positions = [int(p) for p in positions]
-    if len(set(positions)) != len(positions):
-        raise BadShape("positions must be distinct")
-    if any(p < 0 or p >= f.k for p in positions):
-        raise BadShape(f"positions must lie in 0..{f.k - 1}")
+    positions = _positions(positions, f.k)
     for p in positions:
         if np.linalg.norm(g[:, p]) > f.tol:
             raise NotZeroColumn(f"dual column {p} is not numerically zero")

@@ -35,28 +35,35 @@ def complete_via_product(f: Frame, pd: PartialDual,
                          ) -> CompletionOutcome:
     """Complete a partial dual via the product parametrization.
 
-    Solves P_bl* @ A* = H* - P_tl* for the parameter block A; the
-    verdict and solution set match the direct method even when
-    s > k - n (the system just becomes overdetermined in A).  An
-    explicit elimination can be supplied; it must row-reduce F* with
+    An explicit elimination can be supplied; it must row-reduce F* with
     the prescribed columns already permuted to the front.  Different
     valid P give the same outcome up to reparametrization.
     """
     check_partial(f, pd)
     perm = leading_permutation(pd, f.k)
-    fp = f.mat[:, perm]
     if elimination is None:
-        elimination = eliminate_with_product(adjoint(fp), tol=f.tol)
-    n, s = f.n, pd.s
-    dtype = np.result_type(f.mat.dtype, pd.H.dtype, elimination.P.dtype)
-    p = elimination.P.astype(dtype, copy=False)
-    coef = adjoint(p[n:, :s])
-    rhs = adjoint(pd.H) - adjoint(p[:n, :s])
+        elimination = eliminate_with_product(adjoint(f.mat[:, perm]),
+                                             tol=f.tol)
+    p = elimination.P
+    return _complete_over_rows(f, pd, perm, p[:f.n], p[f.n:])
+
+
+def _complete_over_rows(f: Frame, pd: PartialDual, perm: np.ndarray,
+                        top: np.ndarray, bottom: np.ndarray):
+    """Solve for A and realize the duals G = top + A @ bottom.
+
+    top and bottom are P's first n and last k - n rows, for P @ F* =
+    [I_n; 0] with the prescribed columns of F permuted to the front.
+    """
+    dtype = np.result_type(f.mat.dtype, pd.H.dtype, top.dtype)
+    top = top.astype(dtype, copy=False)
+    bottom = bottom.astype(dtype, copy=False)
+    coef = adjoint(bottom[:, :pd.s])
+    rhs = adjoint(pd.H) - adjoint(top[:, :pd.s])
     lin = solve_min_norm(coef, rhs, tol=f.tol)
-    a = adjoint(lin.solution)
-    particular_p = p[:n, :] + a @ p[n:, :]
+    particular_p = top + adjoint(lin.solution) @ bottom
 
     def lift(nh):  # W = N* P[n:, :]
-        return nh @ p[n:, :]
+        return nh @ bottom
 
     return assemble_outcome(f, pd, lin, coef, rhs, particular_p, perm, lift)

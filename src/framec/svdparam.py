@@ -1,9 +1,9 @@
 """Completion through the SVD parametrization of duals.
 
-With F = U Sigma V*, the duals of F are exactly G = U [Sigma^{-1} X] V*
-over free n x (k-n) blocks X, and X = 0 gives the canonical dual.
-Prescribed columns of G turn into the linear condition
-X @ V*_bl = U* H - Sigma^{-1} V*_tl on X.
+With F = U Sigma V*, the duals of F are exactly U [Sigma^{-1} X] V* over
+n x (k-n) blocks X.  That is the product parametrization [I_n A] P_svd
+with P_svd = blockdiag(U Sigma^{-1}, I) V* and A = U X, whose top rows
+are the canonical dual: every dual is S^{-1} F + A V*_bot (Li's form).
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complete import (assemble_outcome, check_partial, leading_permutation)
+from ._complete import check_partial, leading_permutation
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
-from .linalg import SvdFactors, adjoint, as_matrix, solve_min_norm, svd
+from .linalg import SvdFactors, as_matrix, svd
+from .product import _complete_over_rows
 
 
 @dataclass(frozen=True)
@@ -51,33 +52,16 @@ def dual_from_X(dp: DualParam) -> np.ndarray:
 def complete_via_svd(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """Complete a partial dual in SVD coordinates.
 
-    Solves X @ V*_bl = U* H - Sigma^{-1} V*_tl by minimum-norm least
-    squares (transposed so the unknown sits on the right) and realizes
-    the outcome through dual_from_X.  The verdict and solution set
-    agree with the direct and product methods.
+    Supplies the rows of P_svd to the product route's solve.  The
+    rounding-noise rule for V*_bl is the only step of its own.
     """
     check_partial(f, pd)
     perm = leading_permutation(pd, f.k)
-    fp = f.mat[:, perm]
-    fac = svd(fp)
-    sig_inv = 1.0 / fac.sigma
-    vh = fac.vh
-    n, s = f.n, pd.s
-    dtype = np.result_type(fp.dtype, pd.H.dtype)
-    coef = adjoint(vh[n:, :s]).astype(dtype)
+    fac = svd(f.mat[:, perm])
+    n, vh = f.n, fac.vh
     # V*_bl is a block of a unitary factor: a norm this small is rounding
-    if np.linalg.norm(coef) <= np.finfo(np.float64).eps * f.k:
-        coef = np.zeros_like(coef)
-    rhs_x = adjoint(fac.U) @ pd.H - sig_inv[:, None] * vh[:n, :s]
-    lin = solve_min_norm(coef, adjoint(rhs_x), tol=f.tol)
-    x = adjoint(lin.solution)
-    particular_p = fac.U @ np.hstack(
-        [np.diag(sig_inv).astype(dtype), x]) @ vh
-
-    # W = N* V*[n:, :]; the factor U of each direction U e_row (x) W[i]
-    # is invertible, so it leaves the span unchanged and is dropped
-    def lift(nh):
-        return nh @ vh[n:, :]
-
-    return assemble_outcome(f, pd, lin, coef, adjoint(rhs_x), particular_p,
-                            perm, lift)
+    block = vh[n:, :pd.s]
+    if np.linalg.norm(block) <= np.finfo(np.float64).eps * f.k:
+        block[...] = 0
+    top = fac.U @ (vh[:n] / fac.sigma[:, None])
+    return _complete_over_rows(f, pd, perm, top, vh[n:])

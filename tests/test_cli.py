@@ -155,6 +155,33 @@ class TestVerify:
         assert "usage error" in capsys.readouterr().err
 
 
+class TestTolerance:
+    # a completable problem: column 1 of the dual prescribed as e1
+    @pytest.fixture
+    def problem(self, files):
+        return [files("f.csv", [[1.0, 0, 1], [0, 1, 1]]),
+                files("h.csv", [[1.0], [0.0]]), "--indices", "2"]
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_flag_must_be_finite_positive(self, problem, tol, capsys):
+        assert cli.run(["complete", *problem, "--tol", tol]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_env_must_be_finite_positive(self, problem, tol, capsys,
+                                         monkeypatch):
+        monkeypatch.setenv("FRAMEC_TOL", tol)
+        assert cli.run(["complete", *problem]) == 1
+        assert "FRAMEC_TOL" in capsys.readouterr().err
+
+    def test_positive_tolerance_completes(self, problem, capsys,
+                                          monkeypatch):
+        monkeypatch.setenv("FRAMEC_TOL", "1e-8")
+        code, rep, _ = run_json(["complete", *problem], capsys)
+        assert code == 0
+        assert rep["status"] == "unique"
+
+
 class TestComplete:
     def test_family_report(self, files, capsys):
         code, rep, _ = run_json(

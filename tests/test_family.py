@@ -160,6 +160,27 @@ def test_family_arrays_are_c_contiguous(name):
     assert fam.directions.flags["C_CONTIGUOUS"]
 
 
+@pytest.mark.parametrize("name", ["direct", "svd"])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_particular_is_min_norm_member(name, complex_field):
+    # the direct and svd particulars are orthogonal to every direction;
+    # the product route's [I A] P with minimum-norm A is not
+    rng = np.random.default_rng(223 + complex_field)
+    for _ in range(10):
+        fr = random_frame(rng, n=3, k=8, complex_field=complex_field)
+        s = int(rng.integers(1, fr.k - fr.n))
+        pd = random_partial(rng, fr, s=s, from_dual=random_dual(rng, fr))
+        fam = ROUTES[name](fr, pd).family
+        base = np.linalg.norm(fam.particular)
+        cross = np.linalg.norm(fam.particular @ fam.directions.conj().T)
+        assert cross <= 1e-9 * base * np.linalg.norm(fam.directions)
+        for _ in range(20):
+            c = rng.uniform(-1, 1, fam.dof)
+            if complex_field:
+                c = c + 1j * rng.uniform(-1, 1, fam.dof)
+            assert base <= np.linalg.norm(fc.family_sample(fam, c)) + 1e-9
+
+
 def test_product_directions_are_not_orthonormal():
     # the membership test must not assume orthonormal direction rows
     w = FAMILIES["product-real"].directions

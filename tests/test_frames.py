@@ -31,6 +31,12 @@ def test_make_frame_rejections():
         fc.make_frame([[1.0, np.inf], [0, 1]])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_make_frame_rejects_tolerance_that_is_not_finite_positive(tol):
+    with pytest.raises(ValueError):
+        fc.make_frame(F_1234, tol=tol)
+
+
 def test_frame_bounds_values():
     assert fc.frame_bounds(fc.make_frame(np.eye(2))) == fc.FrameBounds(1, 1)
     b = fc.frame_bounds(fc.make_frame(F_SPARSE))
@@ -103,6 +109,13 @@ def test_partial_dual_canonicalizes_positions():
         fc.PartialDual([[1.0, 2], [3, 4]], (0,))
 
 
+def test_partial_dual_rejects_non_integral_positions():
+    h = [[1.0], [0.0]]
+    with pytest.raises(fc.BadShape):
+        fc.PartialDual(h, (0.9,))
+    assert fc.PartialDual(h, (np.int64(1),)).indices == (1,)
+
+
 def test_family_sample_and_contains_roundtrip():
     fr = fc.make_frame(F_1234)
     out = fc.complete_direct(fr, fc.PartialDual(np.zeros((2, 0))))
@@ -150,6 +163,15 @@ def test_surgery_remove_noop_and_errors():
         fc.surgery_remove(fr, fc.canonical_dual(fr), [0])
     with pytest.raises(fc.BadShape):
         fc.surgery_remove(fr, member, [0, 0])
+
+
+def test_surgery_remove_rejects_non_integral_positions():
+    fr = fc.make_frame(F_1234)
+    member = ex0dual_member(0.0, 0.0, 0.7, -0.3)
+    with pytest.raises(fc.BadShape):
+        fc.surgery_remove(fr, member, [0.9])
+    reduced, _ = fc.surgery_remove(fr, member, np.array([0]))
+    assert reduced.k == 3
 
 
 def test_surgery_remove_can_destroy_spanning_at_loose_tol():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import framec as fc
+from framec._complete import leading_permutation
 from helpers import ROUTES, random_dual, random_frame, random_partial
 
 F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
@@ -173,6 +174,62 @@ class TestCompleteViaSvd:
             elif isinstance(a, fc.Unique):
                 assert np.linalg.norm(a.G - b.G) <= 1e-8 * max(
                     1.0, np.linalg.norm(a.G))
+
+
+def svd_elimination(fr, pd):
+    """P_svd = blockdiag(U Sigma^-1, I) V* of the permuted frame."""
+    fp = fr.mat[:, leading_permutation(pd, fr.k)]
+    fac = fc.svd(fp)
+    left = np.eye(fr.k, dtype=fac.U.dtype)
+    left[:fr.n, :fr.n] = fac.U / fac.sigma
+    p = left @ fac.vh
+    target = np.eye(fr.k, fr.n)
+    return fc.Elimination(p, float(np.linalg.norm(p @ fc.adjoint(fp)
+                                                  - target)))
+
+
+class TestSvdIsProductRoute:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("verdict", ["family", "unique", "none"])
+    def test_p_svd_elimination_gives_the_svd_outcome(self, complex_field,
+                                                      verdict):
+        rng = np.random.default_rng(149 + complex_field)
+        for _ in range(8):
+            fr = random_frame(rng, n=3, k=7, complex_field=complex_field)
+            if verdict == "none":
+                pd = random_partial(rng, fr, s=fr.k)
+            else:
+                s = 2 if verdict == "family" else fr.k - fr.n
+                pd = random_partial(rng, fr, s=s,
+                                    from_dual=random_dual(rng, fr))
+            elim = svd_elimination(fr, pd)
+            assert elim.residual <= 1e-10
+            via_p = fc.complete_via_product(fr, pd, elimination=elim)
+            via_svd = fc.complete_via_svd(fr, pd)
+            assert type(via_p) is type(via_svd)
+            assert type(via_svd).__name__ == {
+                "family": "Family", "unique": "Unique",
+                "none": "NoCompletion"}[verdict]
+            if verdict == "unique":
+                gap = np.linalg.norm(via_p.G - via_svd.G)
+                assert gap <= 1e-10 * np.linalg.norm(via_svd.G)
+            elif verdict == "family":
+                a, b = via_p.family, via_svd.family
+                assert a.dof == b.dof
+                for _ in range(3):
+                    c = rng.uniform(-1, 1, a.dof)
+                    assert fc.family_contains(b, fc.family_sample(a, c))
+                    assert fc.family_contains(a, fc.family_sample(b, c))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_rejects_prescriptions_that_do_not_fit(route):
+    fr = fc.make_frame(F_SPARSE)
+    for pd in (fc.PartialDual(np.ones((3, 5))),          # s > k
+               fc.PartialDual(np.ones((3, 1)), (4,)),    # position >= k
+               fc.PartialDual(np.ones((2, 1)), (0,))):   # rows != n
+        with pytest.raises(fc.BadShape):
+            route(fr, pd)
 
 
 def outcome_contains(out, g) -> bool:
