@@ -4,9 +4,9 @@ Each method reduces its completion problem to one linear system
 coef @ X = rhs, solved by minimum-norm least squares.  What differs is
 how a solution X is realized as an n x k dual matrix and how the kernel
 of coef is lifted to the direction rows W of the family.  The helpers
-here canonicalize arbitrary prescribed positions to a leading block by
-column permutation, classify the solve outcome, and assemble the
-(un-permuted) CompletionOutcome.
+here validate a prescription, give the direct route (the only one that
+permutes columns) its split [F_pres | F_free], classify the solve
+outcome, and assemble the CompletionOutcome.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ def unpermute(gp: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 def assemble_outcome(f: Frame, pd: PartialDual, lin: LinSolve,
                      coef: np.ndarray, rhs: np.ndarray,
-                     particular_p: np.ndarray, perm: np.ndarray, lift):
+                     particular: np.ndarray, lift):
     """Turn a reduced solve into a CompletionOutcome.
 
-    particular_p is the candidate dual in permuted coordinates (only
+    particular is the candidate dual in the frame's column order (only
     meaningful when lin.consistent).  lift(nh) must map the d x m matrix
     nh = N* of conjugated kernel directions of coef to the d x k
-    direction rows W in permuted coordinates; the family is then
+    direction rows W in the same order; the family is then
     particular + C @ W over all n x d matrices C.
     """
     if not lin.consistent:
@@ -62,9 +62,7 @@ def assemble_outcome(f: Frame, pd: PartialDual, lin: LinSolve,
         return NoCompletion(certificate=cert)
     nh = adjoint(lin.nullspace)
     if nh.shape[0] == 0:
-        return Unique(G=unpermute(particular_p, perm))
-    # one permutation for the particular dual and the directions together
-    both = unpermute(np.vstack([particular_p, lift(nh)]), perm)
-    fam = SolutionFamily(frame=f, particular=both[:f.n],
-                         directions=both[f.n:], prescribed=pd)
+        return Unique(G=particular)
+    fam = SolutionFamily(frame=f, particular=particular,
+                         directions=lift(nh), prescribed=pd)
     return Family(family=fam)

@@ -26,7 +26,7 @@ from .direct import Weights, complete_direct, solve_weights
 from .errors import BadShape, FramecError, NotAFamily, NotAFrame
 from .frames import (Family, Frame, PartialDual, Unique, canonical_dual,
                      dual_residual, frame_bounds, is_tight, make_frame)
-from .linalg import numerical_rank
+from .linalg import default_tol, numerical_rank
 from .matio import (matrix_from_jsonable, matrix_to_jsonable, read_matrix,
                     write_matrix)
 from .product import complete_via_product
@@ -114,9 +114,11 @@ def _emit(obj) -> None:
 
 def cmd_check(args) -> int:
     m = read_matrix(args.frame)
-    rank = numerical_rank(m)
+    tol = _resolve_tol(args)
+    # the rank make_frame judges the matrix by, at the same tolerance
+    rank = numerical_rank(m, default_tol(m) if tol is None else tol)
     try:
-        fr = make_frame(m, _resolve_tol(args))
+        fr = make_frame(m, tol)
     except (NotAFrame, BadShape) as exc:
         _emit({"status": "not_a_frame", "n": int(m.shape[0]),
                "k": int(m.shape[1]), "rank": rank, "detail": str(exc)})
@@ -244,7 +246,7 @@ def cmd_complete(args) -> int:
     if args.weights and args.solve_weights:
         raise _Usage("--weights and --solve-weights are mutually exclusive")
     if args.weights:
-        wlist = [float(x) for x in read_matrix(args.weights).ravel()]
+        wlist = list(read_matrix(args.weights).ravel())
         if len(wlist) != s:
             raise _Usage(f"{s} prescribed columns but {len(wlist)} weights")
         # pd holds its columns in position order; the weights follow them

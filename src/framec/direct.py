@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complete import (assemble_outcome, check_partial, leading_permutation)
-from .errors import BadShape, NotDualPair
+from ._complete import (assemble_outcome, check_partial, leading_permutation,
+                        unpermute)
+from .errors import BadShape, MixedField, NotDualPair
 from .frames import (CompletionOutcome, Frame, PartialDual, dual_residual,
                      make_frame)
 from .linalg import adjoint, as_matrix, pseudoinverse, solve_min_norm
@@ -25,15 +26,18 @@ from .linalg import adjoint, as_matrix, pseudoinverse, solve_min_norm
 class Weights:
     """Diagonal scaling w_1..w_s applied to the prescribed columns.
 
-    Weights are real even for complex frames.  A zero weight prescribes
-    a zero column.
+    Weights are real even for complex frames: a weight with a nonzero
+    imaginary part raises MixedField.  A zero weight prescribes a zero
+    column.
     """
 
     w: tuple
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.w)
-        object.__setattr__(self, "w", w)
+        w = tuple(complex(x) for x in self.w)
+        if any(x.imag for x in w):
+            raise MixedField("weights must be real")
+        object.__setattr__(self, "w", tuple(x.real for x in w))
 
 
 def extend_dual_pair(f0: Frame, g0, f1) -> CompletionOutcome:
@@ -74,13 +78,14 @@ def complete_direct(f: Frame, pd: PartialDual) -> CompletionOutcome:
     f_free = fp[:, s:].astype(dtype)
     rhs = np.eye(f.n, dtype=dtype) - f_pres @ adjoint(pd.H)
     lin = solve_min_norm(f_free, rhs, tol=f.tol)
-    particular_p = np.hstack([pd.H.astype(dtype), adjoint(lin.solution)])
+    particular = unpermute(
+        np.hstack([pd.H.astype(dtype), adjoint(lin.solution)]), perm)
 
-    def lift(nh):  # W = [0 | N*]
-        return np.hstack([np.zeros((nh.shape[0], s), dtype=nh.dtype), nh])
+    def lift(nh):  # W = [0 | N*], back in the frame's column order
+        zeros = np.zeros((nh.shape[0], s), dtype=nh.dtype)
+        return unpermute(np.hstack([zeros, nh]), perm)
 
-    return assemble_outcome(f, pd, lin, f_free, rhs, particular_p, perm,
-                            lift)
+    return assemble_outcome(f, pd, lin, f_free, rhs, particular, lift)
 
 
 def complete_direct_scaled(f: Frame, pd: PartialDual,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complete import check_partial, leading_permutation
+from ._complete import check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
 from .linalg import SvdFactors, as_matrix, svd
@@ -53,15 +53,14 @@ def complete_via_svd(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """Complete a partial dual in SVD coordinates.
 
     Supplies the rows of P_svd to the product route's solve.  The
-    rounding-noise rule for V*_bl is the only step of its own.
+    rounding-noise rule for V*_bl = V*[n:, idx] is its only own step.
     """
     check_partial(f, pd)
-    perm = leading_permutation(pd, f.k)
-    fac = svd(f.mat[:, perm])
+    fac = svd(f.mat)
     n, vh = f.n, fac.vh
     # V*_bl is a block of a unitary factor: a norm this small is rounding
-    block = vh[n:, :pd.s]
-    if np.linalg.norm(block) <= np.finfo(np.float64).eps * f.k:
-        block[...] = 0
+    idx = list(pd.indices)
+    if np.linalg.norm(vh[n:, idx]) <= np.finfo(np.float64).eps * f.k:
+        vh[n:, idx] = 0
     top = fac.U @ (vh[:n] / fac.sigma[:, None])
-    return _complete_over_rows(f, pd, perm, top, vh[n:])
+    return _complete_over_rows(f, pd, top, vh[n:])

@@ -66,6 +66,17 @@ class TestCheck:
         assert rep["status"] == "not_a_frame"
         assert rep["rank"] == 1
 
+    def test_rank_is_taken_at_the_frame_tolerance(self, files, capsys):
+        # sigma_min = 1e-12 is above the eps cutoff but below tol 1e-9
+        path = files("f.csv", [[1.0, 0], [0, 1e-12]])
+        code, rep, _ = run_json(["check", path], capsys)
+        assert code == 3
+        assert rep["status"] == "not_a_frame"
+        assert rep["rank"] == 1
+        code, rep, _ = run_json(["check", path, "--tol", "1e-13"], capsys)
+        assert code == 0
+        assert rep["rank"] == 2
+
     def test_tall_matrix(self, files, capsys):
         code, rep, _ = run_json(
             ["check", files("f.csv", [[1.0, 0], [0, 1], [0, 0]])], capsys)
@@ -312,6 +323,15 @@ class TestCompleteWeights:
         assert code == 0
         assert rep["status"] == "family"
         assert rep["weights"] == [-2.75, -2.5]
+
+    def test_complex_weight_is_refused(self, files, capsys):
+        code, rep, err = run_json(
+            ["complete", files("f.csv", F_COLLINEAR),
+             files("h.csv", H_STUCK),
+             "--weights", files("w.json", [[2 + 1j, 1]])], capsys)
+        assert code == 1
+        assert rep is None
+        assert "real" in err
 
     def test_solved_weights(self, files, capsys):
         code, rep, _ = run_json(

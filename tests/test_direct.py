@@ -279,6 +279,14 @@ class TestScaled:
         assert w.w == (1.0, 0.0)
         assert all(type(x) is float for x in w.w)
 
+    def test_complex_weights_are_refused(self):
+        for x in (2 + 1j, np.complex128(2 + 1j), 1e-300j):
+            with pytest.raises(fc.MixedField):
+                fc.Weights((1.0, x))
+        w = fc.Weights((np.complex128(2 + 0j), 3 + 0j))
+        assert w.w == (2.0, 3.0)
+        assert all(type(x) is float for x in w.w)
+
     def test_trivial_and_scaled_hadamard(self):
         fr = fc.make_frame(F_HADAMARD)
         pd = fc.PartialDual(H_HADAMARD, (0, 1))

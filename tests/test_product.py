@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import framec as fc
-from framec._complete import leading_permutation
-from helpers import (ROUTES, conditioned_frame, random_frame,
+from helpers import (ROUTES, conditioned_frame, random_dual, random_frame,
                      random_partial)
 
 F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
@@ -331,17 +330,36 @@ def test_elimination_is_the_dense_loop_bit_for_bit(k, n, cond,
     g = fc.canonical_dual(fr)
     noise = rng.standard_normal(g.shape)
     kinds = []
+    # one P of the frame in its own column order serves every prescription
+    dense = fc.Elimination(p, float(np.linalg.norm(p @ fstar - target)))
     for s, eps in ((n, 0.0), (k - n, 0.0), (k - n + 1, 1e-3)):
         idx = tuple(sorted(rng.choice(k, size=s, replace=False).tolist()))
         h = g[:, list(idx)] + eps * noise[:, :s]
         pd = fc.PartialDual(h, idx)
-        perm = leading_permutation(pd, k)
-        fpstar = fc.adjoint(fr.mat[:, perm])
-        pp = eliminate_dense(fpstar)
-        dense = fc.Elimination(pp, float(np.linalg.norm(pp @ fpstar
-                                                         - target)))
         out = fc.complete_via_product(fr, pd)
         assert_same_outcome(out, fc.complete_via_product(fr, pd,
                                                          elimination=dense))
         kinds.append(type(out))
     assert kinds == [fc.Family, fc.Unique, fc.NoCompletion]
+
+
+@pytest.mark.parametrize("complex_field", [False, True],
+                         ids=["real", "complex"])
+def test_one_elimination_serves_every_prescription(complex_field):
+    # P row-reduces F* in the frame's own column order, so it does not
+    # depend on where the prescribed columns sit
+    rng = np.random.default_rng(239 + complex_field)
+    fr = random_frame(rng, n=3, k=7, complex_field=complex_field)
+    elim = fc.eliminate_with_product(fc.adjoint(fr.mat))
+    g = random_dual(rng, fr)
+    cases = [((1, 5), fc.Family), ((1, 3, 4, 6), fc.Unique),
+             ((0, 2, 3, 5, 6), fc.NoCompletion)]
+    for idx, kind in cases:
+        h = g[:, list(idx)]
+        if kind is fc.NoCompletion:
+            h = h + rng.uniform(-1.0, 1.0, h.shape)
+        pd = fc.PartialDual(h, idx)
+        out = fc.complete_via_product(fr, pd)
+        assert isinstance(out, kind)
+        assert_same_outcome(out, fc.complete_via_product(fr, pd,
+                                                         elimination=elim))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import framec as fc
-from framec._complete import leading_permutation
 from helpers import ROUTES, random_dual, random_frame, random_partial
 
 F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
@@ -176,15 +175,14 @@ class TestCompleteViaSvd:
                     1.0, np.linalg.norm(a.G))
 
 
-def svd_elimination(fr, pd):
-    """P_svd = blockdiag(U Sigma^-1, I) V* of the permuted frame."""
-    fp = fr.mat[:, leading_permutation(pd, fr.k)]
-    fac = fc.svd(fp)
+def svd_elimination(fr):
+    """P_svd = blockdiag(U Sigma^-1, I) V* of the frame as given."""
+    fac = fc.svd(fr.mat)
     left = np.eye(fr.k, dtype=fac.U.dtype)
     left[:fr.n, :fr.n] = fac.U / fac.sigma
     p = left @ fac.vh
     target = np.eye(fr.k, fr.n)
-    return fc.Elimination(p, float(np.linalg.norm(p @ fc.adjoint(fp)
+    return fc.Elimination(p, float(np.linalg.norm(p @ fc.adjoint(fr.mat)
                                                   - target)))
 
 
@@ -202,7 +200,7 @@ class TestSvdIsProductRoute:
                 s = 2 if verdict == "family" else fr.k - fr.n
                 pd = random_partial(rng, fr, s=s,
                                     from_dual=random_dual(rng, fr))
-            elim = svd_elimination(fr, pd)
+            elim = svd_elimination(fr)
             assert elim.residual <= 1e-10
             via_p = fc.complete_via_product(fr, pd, elimination=elim)
             via_svd = fc.complete_via_svd(fr, pd)
