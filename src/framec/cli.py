@@ -50,19 +50,22 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="framec", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None)
 
-    p = sub.add_parser("check", help="validate a frame and print its bounds")
+    p = sub.add_parser("check", parents=[tol],
+                       help="validate a frame and print its bounds")
     p.add_argument("frame")
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("canonical", help="compute the canonical dual")
+    p = sub.add_parser("canonical", parents=[tol],
+                       help="compute the canonical dual")
     p.add_argument("frame")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_canonical)
 
-    p = sub.add_parser("complete", help="complete a partially prescribed dual")
+    p = sub.add_parser("complete", parents=[tol],
+                       help="complete a partially prescribed dual")
     p.add_argument("frame")
     p.add_argument("partial")
     p.add_argument("--method", default="all",
@@ -70,20 +73,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--indices", default=None,
                    help="1-based prescribed positions, e.g. 1,3,4 "
                         "(default: leading columns)")
-    p.add_argument("--weights", default=None,
-                   help="matrix file with one weight per column of PARTIAL "
-                        "(the report lists them by position)")
-    p.add_argument("--solve-weights", action="store_true",
-                   help="search for feasible real weights first")
-    p.add_argument("--tol", type=float, default=None)
+    scaling = p.add_mutually_exclusive_group()
+    scaling.add_argument("--weights", default=None,
+                         help="matrix file with one weight per column of "
+                              "PARTIAL (the report lists them by position)")
+    scaling.add_argument("--solve-weights", action="store_true",
+                         help="search for feasible real weights first")
     p.add_argument("--output", default=None,
                    help="write the computed dual to this matrix file")
     p.set_defaults(func=cmd_complete)
 
-    p = sub.add_parser("verify", help="check that DUAL is a dual of FRAME")
+    p = sub.add_parser("verify", parents=[tol],
+                       help="check that DUAL is a dual of FRAME")
     p.add_argument("frame")
     p.add_argument("dual")
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="sample a member of a family report")
@@ -108,6 +111,14 @@ def _resolve_tol(args) -> float | None:
     return tol
 
 
+def _frame(m, tol) -> Frame:
+    """make_frame, with too few columns to span reported as NotAFrame."""
+    try:
+        return make_frame(m, tol)
+    except BadShape as exc:
+        raise NotAFrame(str(exc)) from None
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
@@ -118,8 +129,8 @@ def cmd_check(args) -> int:
     # the rank make_frame judges the matrix by, at the same tolerance
     rank = numerical_rank(m, default_tol(m) if tol is None else tol)
     try:
-        fr = make_frame(m, tol)
-    except (NotAFrame, BadShape) as exc:
+        fr = _frame(m, tol)
+    except NotAFrame as exc:
         _emit({"status": "not_a_frame", "n": int(m.shape[0]),
                "k": int(m.shape[1]), "rank": rank, "detail": str(exc)})
         return 3
@@ -131,12 +142,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    try:
-        fr = make_frame(read_matrix(args.frame), _resolve_tol(args))
-    except (NotAFrame, BadShape) as exc:
-        print(f"not a frame: {exc}", file=sys.stderr)
-        return 3
-    g = canonical_dual(fr)
+    g = canonical_dual(_frame(read_matrix(args.frame), _resolve_tol(args)))
     if args.output:
         write_matrix(g, args.output)
     else:
@@ -145,40 +151,25 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        fr = make_frame(read_matrix(args.frame), _resolve_tol(args))
-    except (NotAFrame, BadShape) as exc:
-        print(f"not a frame: {exc}", file=sys.stderr)
-        return 3
+    fr = _frame(read_matrix(args.frame), _resolve_tol(args))
     residual = dual_residual(fr, read_matrix(args.dual))
     ok = residual <= fr.tol
     _emit({"residual": residual, "dual_pair": ok, "tol": fr.tol})
     return 0 if ok else 2
 
 
-def _parse_indices(spec: str, s: int, k: int) -> tuple:
+def _parse_indices(spec: str, k: int) -> tuple:
+    """0-based positions from 1-based ones; PartialDual checks the rest."""
     try:
         raw = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise _Usage(f"bad --indices value {spec!r}") from None
-    if len(raw) != s:
-        raise _Usage(f"{s} prescribed columns but {len(raw)} indices")
-    if len(set(raw)) != len(raw):
-        raise _Usage("indices must be distinct")
     if any(i < 1 or i > k for i in raw):
         raise _Usage(f"indices must lie in 1..{k}")
     return tuple(i - 1 for i in raw)
 
 
-def _run_method(name: str, fr: Frame, pd: PartialDual):
-    if name == "direct":
-        return complete_direct(fr, pd)
-    if name == "product":
-        return complete_via_product(fr, pd)
-    return complete_via_svd(fr, pd)
-
-
-def _check_agreement(outcomes: dict, fr: Frame) -> None:
+def _check_agreement(outcomes: dict) -> None:
     kinds = {name: type(out).__name__ for name, out in outcomes.items()}
     if len(set(kinds.values())) > 1:
         raise _Disagreement(f"method verdicts differ: {kinds}")
@@ -223,17 +214,16 @@ def _report(outcome, method: str, fr: Frame, weights, notes: list) -> dict:
 
 
 def cmd_complete(args) -> int:
-    m = read_matrix(args.frame)
     h = read_matrix(args.partial)
     try:
-        fr = make_frame(m, _resolve_tol(args))
-    except (NotAFrame, BadShape) as exc:
+        fr = _frame(read_matrix(args.frame), _resolve_tol(args))
+    except NotAFrame as exc:
         _emit({"status": "not_a_frame", "method": args.method,
                "residual": 0.0, "errata_notes": [str(exc)]})
         return 3
     s = h.shape[1]
     if args.indices is not None:
-        idx = _parse_indices(args.indices, s, fr.k)
+        idx = _parse_indices(args.indices, fr.k)
     else:
         idx = tuple(range(s))
     try:
@@ -243,8 +233,6 @@ def cmd_complete(args) -> int:
 
     notes = []
     weights = None
-    if args.weights and args.solve_weights:
-        raise _Usage("--weights and --solve-weights are mutually exclusive")
     if args.weights:
         wlist = list(read_matrix(args.weights).ravel())
         if len(wlist) != s:
@@ -260,19 +248,23 @@ def cmd_complete(args) -> int:
 
     if weights is not None:
         pd = pd.scaled(weights.w)
+    # looked up per call, so a replaced module attribute takes effect
+    routes = {"direct": complete_direct, "product": complete_via_product,
+              "svd": complete_via_svd}
     if args.method == "all":
-        outcomes = {name: _run_method(name, fr, pd)
-                    for name in ("direct", "product", "svd")}
-        _check_agreement(outcomes, fr)
+        outcomes = {name: route(fr, pd) for name, route in routes.items()}
+        _check_agreement(outcomes)
         chosen = outcomes["direct"]
     else:
-        chosen = _run_method(args.method, fr, pd)
+        chosen = routes[args.method](fr, pd)
 
     rep = _report(chosen, args.method, fr, weights, notes)
+    # written first, so that a failed write prints no success report
+    if args.output and isinstance(chosen, Unique):
+        write_matrix(chosen.G, args.output)
+    elif args.output and isinstance(chosen, Family):
+        write_matrix(chosen.family.particular, args.output)
     _emit(rep)
-    if args.output and rep["status"] in ("unique", "family"):
-        g = matrix_from_jsonable(rep["dual"])
-        write_matrix(g, args.output)
     return 0 if rep["status"] in ("unique", "family") else 2
 
 
@@ -330,7 +322,3 @@ def run(argv=None) -> int:
     except (FramecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return run(argv)

@@ -108,15 +108,13 @@ def solve_weights(f: Frame, pd: PartialDual) -> Weights | None:
     None when even the optimal weights leave a residual above f.tol.
     """
     check_partial(f, pd)
-    perm = leading_permutation(pd, f.k)
-    fp = f.mat[:, perm]
-    s = pd.s
-    f_free = fp[:, s:]
+    idx = list(pd.indices)
+    f_free = np.delete(f.mat, idx, axis=1)
     proj = np.eye(f.n) - f_free @ pseudoinverse(f_free)
     target = proj.ravel()
-    cols = [(proj @ np.outer(fp[:, i], pd.H[:, i].conj())).ravel()
-            for i in range(s)]
-    m = np.column_stack(cols) if cols else np.zeros((target.size, 0))
+    # column i is vec(P f_i h_i*), f_i the frame column at position i
+    outers = f.mat[:, idx].T[:, :, None] * pd.H.conj().T[:, None, :]
+    m = (proj @ outers).reshape(pd.s, target.size).T
     if np.iscomplexobj(m) or np.iscomplexobj(target):
         m = np.vstack([m.real, m.imag])
         target = np.concatenate([target.real, target.imag])

@@ -116,6 +116,11 @@ class TestCanonical:
         assert code == 3
         assert "not a frame" in capsys.readouterr().err
 
+    def test_too_few_columns(self, files, capsys):
+        code = cli.run(["canonical", files("f.csv", [[1.0, 0], [0, 1], [0, 0]])])
+        assert code == 3
+        assert "not a frame" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_accepts_true_dual(self, files, capsys):
@@ -144,6 +149,19 @@ class TestVerify:
                         files("g.csv", np.eye(2))])
         assert code == 1
         capsys.readouterr()
+
+    def test_rank_deficient_frame(self, files, capsys):
+        code = cli.run(["verify", files("f.csv", [[1.0, 1], [1, 1]]),
+                        files("g.csv", np.eye(2))])
+        assert code == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "not a frame" in out.err
+
+    def test_too_few_columns(self, files, capsys):
+        code = cli.run(["verify", files("f.csv", [[1.0, 0], [0, 1], [0, 0]]),
+                        files("g.csv", np.eye(3)[:, :2])])
+        assert code == 3
+        assert "not a frame" in capsys.readouterr().err
 
     def test_env_tolerance_applies(self, files, capsys, monkeypatch):
         f = files("f.csv", [[2.0, 0, 0], [0, 2, 0]])
@@ -313,6 +331,34 @@ class TestComplete:
         assert code == 4
         assert "disagreement" in capsys.readouterr().err
 
+    def test_verdict_disagreement_names_the_verdicts(self, files, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(
+            cli, "complete_via_product",
+            lambda fr, pd: fc.NoCompletion(fc.Certificate(1, 2, 1.0)))
+        code = cli.run(["complete", files("f.csv", F_SPARSE),
+                        files("h.csv", H_TRIPLE), "--indices", "1,2"])
+        assert code == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "verdicts differ" in out.err
+        assert "'product': 'NoCompletion'" in out.err
+        assert "'direct': 'Unique'" in out.err
+
+    def test_dof_disagreement_names_the_dof(self, files, capsys,
+                                            monkeypatch):
+        # prescribing three columns of F_WIDE leaves a family of dof 2
+        smaller = fc.complete_direct(fc.make_frame(F_WIDE),
+                                     fc.PartialDual(H_WIDE, (0, 1, 2)))
+        monkeypatch.setattr(cli, "complete_via_svd", lambda fr, pd: smaller)
+        code = cli.run(["complete", files("f.csv", F_WIDE),
+                        files("h.csv", H_WIDE[:, :1])])
+        assert code == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "family dof differ" in out.err
+        assert "'direct': 4" in out.err and "'svd': 2" in out.err
+
 
 class TestCompleteWeights:
     def test_explicit_weights(self, files, capsys):
@@ -450,6 +496,12 @@ class TestSample:
         assert cli.run(["sample", str(bad)]) == 1
         assert "family" in capsys.readouterr().err
 
+    def test_report_that_is_not_json_is_usage_error(self, files, capsys):
+        bad = files.dir / "rep.json"
+        bad.write_text("status: family\n")
+        assert cli.run(["sample", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("usage error")
+
     def test_rejects_inconsistent_report(self, files, capsys):
         rep = json.loads(open(self.complete_family(files, capsys)).read())
         rep["dof"] = 5
@@ -494,6 +546,19 @@ class TestComplexRoundTrip:
         capsys.readouterr()
         assert cli.run(["verify", f, out]) == 0
         capsys.readouterr()
+
+    def test_failed_output_prints_no_report(self, files, capsys):
+        # a unique complex dual cannot be written to a CSV file: the call
+        # fails as a whole, with nothing on stdout
+        fm = np.array([[1.0, 0, 1j, 0], [0, 1, 0, 1 + 1j]])
+        h = fc.canonical_dual(fc.make_frame(fm))[:, :3]
+        out = str(files.dir / "g.csv")
+        code = cli.run(["complete", files("f.json", fm),
+                        files("h.json", h), "--output", out])
+        assert code == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert "complex matrix cannot be written as CSV" in got.err
 
 
 def test_no_arguments_is_usage_error(capsys):

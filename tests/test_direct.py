@@ -368,3 +368,19 @@ class TestSolveWeights:
                 out = route(fr, pd.scaled(w.w))
                 assert not isinstance(out, fc.NoCompletion)
         assert hits >= 20
+
+    def test_complex_frame_gets_real_weights(self):
+        # H = G[:, idx] / w for a dual G and real w, so some real scaling
+        # completes it; the complex system is solved in real coordinates
+        rng = np.random.default_rng(83)
+        for _ in range(10):
+            fr = random_frame(rng, n=2, k=4, complex_field=True)
+            g = random_dual(rng, fr)
+            w_true = rng.uniform(0.5, 2.0, 3)
+            pd = fc.PartialDual(g[:, :3] / w_true, (0, 1, 2))
+            w = fc.solve_weights(fr, pd)
+            assert w is not None
+            assert all(isinstance(x, float) for x in w.w)
+            for route in ROUTES:
+                out = route(fr, pd.scaled(w.w))
+                assert not isinstance(out, fc.NoCompletion), route.__name__
