@@ -126,16 +126,16 @@ def _emit(obj) -> None:
 def cmd_check(args) -> int:
     m = read_matrix(args.frame)
     tol = _resolve_tol(args)
-    # the rank make_frame judges the matrix by, at the same tolerance
-    rank = numerical_rank(m, default_tol(m) if tol is None else tol)
     try:
         fr = _frame(m, tol)
     except NotAFrame as exc:
+        # the rank make_frame judged the matrix by, at the same tolerance
+        rank = numerical_rank(m, default_tol(m) if tol is None else tol)
         _emit({"status": "not_a_frame", "n": int(m.shape[0]),
                "k": int(m.shape[1]), "rank": rank, "detail": str(exc)})
         return 3
     b = frame_bounds(fr)
-    _emit({"status": "frame", "n": fr.n, "k": fr.k, "rank": rank,
+    _emit({"status": "frame", "n": fr.n, "k": fr.k, "rank": fr.n,
            "bounds": {"lower": b.lower, "upper": b.upper},
            "tight": is_tight(fr)})
     return 0
@@ -269,6 +269,8 @@ def cmd_complete(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.seed < 0:  # numpy's generators take non-negative seeds only
+        raise _Usage(f"--seed must be non-negative, got {args.seed}")
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
@@ -284,11 +286,9 @@ def cmd_sample(args) -> int:
     if not isinstance(listed, list):
         raise _Usage("report basis must be a list of matrices")
     basis = [matrix_from_jsonable(b) for b in listed]
-    try:
-        dof = int(rep.get("dof", len(basis)))
-    except (TypeError, ValueError):
-        raise _Usage(f"report dof must be an integer, got {rep['dof']!r}"
-                     ) from None
+    dof = rep.get("dof", len(basis))
+    if not isinstance(dof, int) or isinstance(dof, bool):
+        raise _Usage(f"report dof must be an integer, got {dof!r}")
     if dof != len(basis):
         raise _Usage(f"report lists dof={dof} but {len(basis)} basis matrices")
     if any(b.shape != dual.shape for b in basis):

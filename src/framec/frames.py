@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadShape, NotAFrame, NotZeroColumn
-from .linalg import adjoint, as_matrix, default_tol, numerical_rank
+from .linalg import adjoint, as_matrix, default_tol
 
 
 @dataclass(frozen=True)
 class Frame:
-    """Validated frame matrix with its working tolerance.
+    """Validated frame matrix with its working tolerance and spectrum.
 
     Construct through make_frame, which checks the rank condition.
     """
@@ -31,6 +31,7 @@ class Frame:
     n: int
     k: int
     tol: float
+    sigma: np.ndarray  # the n singular values of mat, non-increasing
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ CompletionOutcome = NoCompletion | Unique | Family
 
 
 def make_frame(m, tol: float | None = None) -> Frame:
-    """Validate m as a frame matrix and attach a working tolerance.
+    """Validate m as a frame matrix; attach a tolerance and its spectrum.
 
     Default tolerance is 1e-9 * max(1, ||m||_F).  Raises ValueError for
     a tol that is not finite and positive, BadShape when k < n and
@@ -199,15 +200,16 @@ def make_frame(m, tol: float | None = None) -> Frame:
         tol = default_tol(m)
     elif not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if numerical_rank(m, tol) < n:
+    sigma = np.linalg.svd(m, compute_uv=False)
+    if sigma[n - 1] <= tol:
         raise NotAFrame(f"matrix has numerical rank < {n} at tol {tol:g}")
-    return Frame(mat=m, n=n, k=k, tol=float(tol))
+    return Frame(mat=m, n=n, k=k, tol=float(tol), sigma=sigma)
 
 
 def frame_bounds(f: Frame) -> FrameBounds:
     """Optimal frame bounds: the extreme squared singular values."""
-    s = np.linalg.svd(f.mat, compute_uv=False)
-    return FrameBounds(lower=float(s[f.n - 1] ** 2), upper=float(s[0] ** 2))
+    return FrameBounds(lower=float(f.sigma[f.n - 1] ** 2),
+                       upper=float(f.sigma[0] ** 2))
 
 
 def is_tight(f: Frame) -> bool:

@@ -9,6 +9,7 @@ floats, so both formats round-trip exactly.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from itertools import chain
 
@@ -98,8 +99,12 @@ def matrix_from_jsonable(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError("JSON matrix must be an object")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError):
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+        # operator.index refuses floats and strings, but bool is an int
+        if isinstance(rows, bool) or isinstance(cols, bool):
+            raise TypeError
+        rows, cols = operator.index(rows), operator.index(cols)
+    except (KeyError, TypeError):
         raise ParseError(
             "JSON matrix needs integer 'rows', 'cols' and a 'data' list"
         ) from None

@@ -23,6 +23,18 @@ def random_frame(rng, n=None, k=None, complex_field=False, n_max=4, k_max=8):
             return fc.make_frame(m)
 
 
+def _gauss(rng, shape, complex_field):
+    m = rng.standard_normal(shape)
+    return m + 1j * rng.standard_normal(shape) if complex_field else m
+
+
+def _conditioned_factors(rng, n, k, cond, complex_field):
+    """U (n x n unitary), sigma from 1 down to 1/cond, V* (n x k)."""
+    u = np.linalg.qr(_gauss(rng, (n, n), complex_field))[0]
+    v = np.linalg.qr(_gauss(rng, (k, n), complex_field))[0]
+    return u, np.geomspace(1.0, 1.0 / cond, n), v.conj().T
+
+
 def conditioned_frame(rng, n, k, cond, complex_field=False):
     """Frame F = U diag(sigma) V* with condition number cond.
 
@@ -30,14 +42,30 @@ def conditioned_frame(rng, n, k, cond, complex_field=False):
     orthonormal rows; sigma is spread geometrically from 1 down to
     1/cond, so sigma_max = 1 and sigma_min = 1/cond.
     """
-    def haar(rows, cols):
-        m = rng.standard_normal((rows, cols))
-        if complex_field:
-            m = m + 1j * rng.standard_normal((rows, cols))
-        return np.linalg.qr(m)[0]
+    u, sigma, vh = _conditioned_factors(rng, n, k, cond, complex_field)
+    return fc.make_frame(u @ (sigma[:, None] * vh))
 
-    sigma = np.geomspace(1.0, 1.0 / cond, n)
-    return fc.make_frame(haar(n, n) @ (sigma[:, None] * haar(k, n).conj().T))
+
+def conditioned_instance(rng, n, k, s, cond, verdict, complex_field=False):
+    """A problem on a frame like conditioned_frame's, with a known verdict.
+
+    H is s columns, at random positions, of the dual
+    G = U diag(1/sigma) V* + Z (I - V V*), Z random.  So the verdict is
+    "family" for s < k - n and "unique" for s >= k - n.  For "none",
+    which needs s > k - n, H is moved by a random E with ||E||_F between
+    1e3 and 1e5 times the frame tolerance: the free columns of F no
+    longer span, so the moved H has no completion.
+    """
+    u, sigma, vh = _conditioned_factors(rng, n, k, cond, complex_field)
+    fr = fc.make_frame(u @ (sigma[:, None] * vh))
+    z = _gauss(rng, (n, k), complex_field)
+    g = u @ (vh / sigma[:, None]) + z - (z @ vh.conj().T) @ vh
+    idx = tuple(sorted(int(i) for i in rng.choice(k, size=s, replace=False)))
+    h = g[:, list(idx)]
+    if verdict == "none":
+        e = _gauss(rng, h.shape, complex_field)
+        h = h + e * (10 ** rng.uniform(3.0, 5.0) * fr.tol / np.linalg.norm(e))
+    return fr, fc.PartialDual(h, idx)
 
 
 def random_partial(rng, fr, s=None, from_dual=None):

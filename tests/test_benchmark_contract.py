@@ -5,7 +5,7 @@ benchmark's tracer wraps the public functions of each module by name, so
 a refactor that renames such a function or stops calling it breaks the
 benchmark.  The tier-1 suite does not collect perfbench/, so these tests
 load its tracer from the file (read only) and check the contract here.
-They also pin how many SVDs a three-route decide takes.
+They also pin how many SVDs a three-route decide and `framec check` take.
 """
 
 import contextlib
@@ -142,3 +142,30 @@ def test_family_decide_takes_eight_svds(svd_calls):
     outs = three_route_decide(fr, pd)
     assert all(isinstance(o, fc.Family) for o in outs)
     assert svd_calls[0] <= 8
+
+
+# make_frame's one SVD gives a frame's rank, bounds and tightness; a
+# matrix that is not a frame adds numerical_rank for the reported rank
+@pytest.mark.parametrize("m, code, svds", [
+    (F_1234, 0, 1),
+    (np.array([[1.0, 2], [2, 4]]), 3, 2),
+    (np.array([[1.0, 0], [0, 1], [0, 0]]), 3, 2),
+], ids=["frame", "rank-deficient", "tall"])
+def test_check_svd_count(tmp_path, svd_calls, m, code, svds):
+    path = str(tmp_path / "f.csv")
+    fc.write_matrix(m, path)
+    svd_calls[0] = 0
+    with open(os.devnull, "w", encoding="utf-8") as out, \
+            contextlib.redirect_stdout(out):
+        assert cli.run(["check", path]) == code
+    assert svd_calls[0] <= svds
+
+
+@pytest.mark.parametrize("m", [F_1234, F_SPARSE,
+                               np.array([[1.0, 0, 1j, 0], [0, 1, 0, 1 + 1j]])],
+                         ids=["1234", "sparse", "complex"])
+def test_frame_sigma_is_the_spectrum_of_its_matrix(m):
+    fr = fc.make_frame(m)
+    want = np.linalg.svd(fr.mat, compute_uv=False)
+    assert fr.sigma.dtype == want.dtype and fr.sigma.shape == (fr.n,)
+    assert fr.sigma.tobytes() == want.tobytes()

@@ -513,8 +513,12 @@ class TestSample:
     @pytest.mark.parametrize("edit", [
         lambda rep: rep.pop("dual"),
         lambda rep: rep.update(dof="x"),
+        # int() of these dofs matches the number of basis matrices
+        lambda rep: rep.update(dof=2.5),
+        lambda rep: rep.update(dof=True, basis=rep["basis"][:1]),
         lambda rep: rep.update(basis=5),
-    ], ids=["no-dual", "non-integer-dof", "non-list-basis"])
+    ], ids=["no-dual", "non-integer-dof", "float-dof", "bool-dof",
+            "non-list-basis"])
     def test_malformed_family_report_is_usage_error(self, files, capsys,
                                                     edit):
         rep = json.loads(open(self.complete_family(files, capsys)).read())
@@ -525,6 +529,14 @@ class TestSample:
         err = capsys.readouterr().err
         assert err.startswith("usage error")
         assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, files, capsys, seed):
+        rep = self.complete_family(files, capsys)
+        assert cli.run(["sample", rep, "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "--seed" in err
         assert "Traceback" not in err
 
 

@@ -82,6 +82,22 @@ def test_json_rejections(tmp_path):
             fc.read_matrix(str(path))
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (2.9, 1), (2.0, 1), (True, 2), (2, True), ("2", 1), (None, 2), (2, [1]),
+], ids=["float", "integral-float", "bool-rows", "bool-cols", "string",
+        "null", "list"])
+def test_jsonable_rejects_non_integer_shape(rows, cols):
+    # int() would read 2.9 as 2, True as 1 and "2" as 2
+    with pytest.raises(fc.ParseError, match="integer 'rows', 'cols'"):
+        matrix_from_jsonable({"rows": rows, "cols": cols, "data": [1, 2]})
+
+
+def test_jsonable_accepts_numpy_integer_shape():
+    got = matrix_from_jsonable({"rows": np.int64(1), "cols": np.int32(2),
+                                "data": [1, 2]})
+    assert np.array_equal(got, [[1.0, 2.0]])
+
+
 def test_read_rejects_non_finite(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,nan\n2,3\n")
