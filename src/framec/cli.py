@@ -16,6 +16,7 @@ variable supplies a default tolerance; --tol overrides it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -120,7 +121,8 @@ def _frame(m, tol) -> Frame:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    # a report is a tree, so the encoder's cycle bookkeeping is waste
+    print(json.dumps(obj, check_circular=False))
 
 
 def cmd_check(args) -> int:
@@ -274,7 +276,7 @@ def cmd_sample(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, not UTF-8, or too long an int
         raise _Usage(f"invalid report JSON: {exc}") from None
     status = rep.get("status") if isinstance(rep, dict) else None
     if status != "family":
@@ -305,9 +307,13 @@ def cmd_sample(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    # The JSON trees of a command hold no cycles, so reference counting
+    # frees them; the cyclic collector would rescan their many small
+    # lists again and again.  It is paused for the command only.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -322,3 +328,6 @@ def run(argv=None) -> int:
     except (FramecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()

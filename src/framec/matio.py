@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import MixedField, ParseError
+from .errors import MixedField, NonFinite, ParseError
 from .linalg import as_matrix
 
 
@@ -59,7 +59,7 @@ def _parse_csv(text: str) -> np.ndarray:
 def _parse_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to read
         raise ParseError(f"invalid JSON: {exc}") from None
     return matrix_from_jsonable(obj)
 
@@ -72,15 +72,16 @@ def _decode_entries(data: list) -> np.ndarray:
     """Entries as floats: shape (N,) when all are numbers, else (N, 2).
 
     Plain lists of numbers or of [re, im] pairs are converted by numpy
-    in one call; anything else (mixed entries, subclasses, bad entries)
-    is checked one entry at a time.
+    in one call, pairs as one flat list; anything else (mixed entries,
+    subclasses, bad entries) is checked one entry at a time.
     """
     kinds = set(map(type, data))
     if kinds <= {int, float}:
         return np.array(data, dtype=np.float64)
-    if (kinds == {list} and set(map(len, data)) == {2}
-            and set(map(type, chain.from_iterable(data))) <= {int, float}):
-        return np.array(data, dtype=np.float64)
+    if kinds == {list} and set(map(len, data)) == {2}:
+        flat = list(chain.from_iterable(data))
+        if set(map(type, flat)) <= {int, float}:
+            return np.array(flat, dtype=np.float64).reshape(-1, 2)
     out = np.zeros((len(data), 2))
     is_complex = False
     for j, e in enumerate(data):
@@ -112,7 +113,10 @@ def matrix_from_jsonable(obj) -> np.ndarray:
         raise ParseError("rows and cols must be at least 1")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"'data' must list {rows * cols} entries")
-    arr = _decode_entries(data)
+    try:
+        arr = _decode_entries(data)
+    except OverflowError:  # an integer beyond the float range
+        raise NonFinite("matrix contains NaN or infinite entries") from None
     if arr.ndim == 2:  # contiguous [re, im] rows are complex128 bit for bit
         arr = arr.view(np.complex128)
     return arr.reshape(rows, cols)
@@ -132,7 +136,10 @@ def read_matrix(path: str, fmt: str | None = None) -> np.ndarray:
     """Read a matrix file; format inferred from the extension by default."""
     fmt = _infer_format(path, fmt)
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from None
     m = _parse_csv(text) if fmt == "csv" else _parse_json(text)
     return as_matrix(m)
 
@@ -147,6 +154,6 @@ def write_matrix(m, path: str, fmt: str | None = None) -> None:
         text = "\n".join(",".join(repr(float(e)) for e in row) for row in m)
         text += "\n"
     else:
-        text = json.dumps(matrix_to_jsonable(m)) + "\n"
+        text = json.dumps(matrix_to_jsonable(m), check_circular=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

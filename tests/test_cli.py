@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -93,6 +94,28 @@ class TestCheck:
         path.write_text("1,junk\n")
         assert cli.run(["check", str(path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name, text", [
+        ("m.json", '{"rows": 1, "cols": 2, "data": [1%s, 2]}' % ("0" * 400)),
+        ("m.json", '{"rows": 1, "cols": 1, "data": [[-1%s, 0]]}'
+         % ("0" * 400)),
+        ("m.csv", "1%s,2\n" % ("0" * 400)),
+    ], ids=["json", "json-pair", "csv"])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.run(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: matrix contains NaN or infinite entries\n"
+
+    @pytest.mark.parametrize("name", ["m.csv", "m.json"])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert cli.run(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input is not UTF-8")
+        assert "Traceback" not in err
 
 
 class TestCanonical:
@@ -232,6 +255,18 @@ class TestComplete:
         fam = fc.complete_direct(fc.make_frame(F_1234),
                                  fc.PartialDual(np.array([[1.0], [0.0]])))
         dual = np.array(rep["dual"]["data"]).reshape(2, 4)
+        assert np.array_equal(dual, fam.family.particular)
+        # a complex family: the encoder without its cycle check writes
+        # what the default encoder writes
+        fm = np.array([[1.0, 0, 1j, 0], [0, 1, 0, 1 + 1j]])
+        h = fc.canonical_dual(fc.make_frame(fm))[:, [0]]
+        cli.run(["complete", files("f.json", fm), files("h.json", h)])
+        out = capsys.readouterr().out
+        rep = json.loads(out)
+        assert rep["status"] == "family" and rep["dof"] == len(rep["basis"])
+        assert json.dumps(rep) + "\n" == out
+        fam = fc.complete_direct(fc.make_frame(fm), fc.PartialDual(h))
+        dual = fc.matio.matrix_from_jsonable(rep["dual"])
         assert np.array_equal(dual, fam.family.particular)
 
     def test_wide_family_dof(self, files, capsys):
@@ -531,6 +566,30 @@ class TestSample:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload", [
+        b"\xff\xfe\x00bad",
+        pytest.param(b'{"status": "family", "dof": 1%s}' % (b"0" * 5000),
+                     marks=pytest.mark.skipif(
+                         not hasattr(sys, "get_int_max_str_digits"),
+                         reason="this Python reads integers of any length")),
+    ], ids=["not-utf8", "integer-too-long"])
+    def test_unreadable_report_is_usage_error(self, files, capsys, payload):
+        bad = files.dir / "rep.json"
+        bad.write_bytes(payload)
+        assert cli.run(["sample", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: invalid report JSON")
+        assert "Traceback" not in err
+
+    def test_integer_beyond_float_range_in_report(self, files, capsys):
+        rep = json.loads(open(self.complete_family(files, capsys)).read())
+        rep["dual"]["data"][0] = 10 ** 400  # written as a JSON integer
+        bad = files.dir / "bad.json"
+        bad.write_text(json.dumps(rep))
+        assert cli.run(["sample", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: matrix contains NaN or infinite entries\n"
+
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_seed_must_be_a_non_negative_integer(self, files, capsys, seed):
         rep = self.complete_family(files, capsys)
@@ -571,6 +630,51 @@ class TestComplexRoundTrip:
         got = capsys.readouterr()
         assert got.out == ""
         assert "complex matrix cannot be written as CSV" in got.err
+
+
+class TestCollectorPause:
+    def test_family_round_trip_runs_no_collection(self, files, capsys):
+        # a complex family report of 54 basis matrices: thousands of
+        # [re, im] lists, enough to start the collector many times over
+        rng = np.random.default_rng(6183)
+        fm = rng.standard_normal((6, 18)) + 1j * rng.standard_normal((6, 18))
+        h = fc.canonical_dual(fc.make_frame(fm))[:, :3]
+        argv = ["complete", files("f.json", fm), files("h.json", h)]
+        phases = []
+
+        def count(phase, info):
+            phases.append(phase)
+
+        gc.callbacks.append(count)
+        try:
+            assert cli.run(argv) == 0
+            rep_path = files.dir / "rep.json"
+            rep_path.write_text(capsys.readouterr().out)
+            assert cli.run(["sample", str(rep_path)]) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert json.loads(rep_path.read_text())["dof"] == 54
+        assert json.loads(capsys.readouterr().out)["rows"] == 6
+        assert phases == []
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_caller_state_is_restored(self, files, capsys, enabled):
+        calls = [(["check", files("f.csv", F_1234)], 0),
+                 (["check", str(files.dir / "nope.csv")], 1),
+                 (["check", files("r.csv", [[1.0, 1], [1, 1]])], 3)]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in calls:
+                assert cli.run(argv) == code
+                assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):
+                cli.run(["--help"])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import framec as fc
-from framec.matio import matrix_from_jsonable, matrix_to_jsonable
+from framec.matio import (_decode_entries, matrix_from_jsonable,
+                          matrix_to_jsonable)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -99,10 +102,15 @@ def test_jsonable_accepts_numpy_integer_shape():
 
 
 def test_read_rejects_non_finite(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("1,nan\n2,3\n")
-    with pytest.raises(fc.NonFinite):
-        fc.read_matrix(str(path))
+    # CSV reads a literal beyond the float range as inf, JSON as an int
+    big = "1" + "0" * 400
+    for name, text in (("m.csv", "1,nan\n2,3\n"), ("m.csv", f"{big},2\n"),
+                       ("m.json", '{"rows": 1, "cols": 2, '
+                                  f'"data": [{big}, 2]}}')):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(fc.NonFinite):
+            fc.read_matrix(str(path))
 
 
 def test_complex_csv_write_refused(tmp_path):
@@ -138,6 +146,12 @@ def test_jsonable_mixed_and_subclassed_entries():
     back = matrix_from_jsonable(obj)
     assert back.dtype == np.complex128
     assert np.array_equal(back, [[1, 0.5 - 2j, 3]])
+    for data, want in (([[1, 2], 3], [1 + 2j, 3]),
+                       ([-0.0, [0, -1]], [complex(-0.0, 0), complex(0, -1)]),
+                       ([[np.float64(0.5), 1], [2, 3]], [0.5 + 1j, 2 + 3j])):
+        back = matrix_from_jsonable({"rows": 1, "cols": 2, "data": data})
+        assert back.dtype == np.complex128
+        assert back.tobytes() == np.array(want).tobytes()  # signed zeros
     # float subclasses are numbers; without pairs the result stays real
     obj = {"rows": 1, "cols": 2, "data": [np.float64(1.5), 2]}
     back = matrix_from_jsonable(obj)
@@ -147,7 +161,11 @@ def test_jsonable_mixed_and_subclassed_entries():
 
 def test_jsonable_rejects_bad_pairs():
     for data in ([[1, True], [0, 0]], [[1, "2"], [0, 0]], [[1, 2], [3]],
-                 [[1, [2]], [0, 0]], [[1, 2, 3], [4, 5, 6]], [1, None]):
+                 [[1, [2]], [0, 0]], [[1, 2, 3], [4, 5, 6]], [1, None],
+                 [[True, 1.0], [0.5, 1]], [[0.5, 1], [True, 1.0]],
+                 [[1.0], [0.5, 1]], [[0.5, 1], [1, 2, 3]],
+                 [["1", 2], [0.5, 1]], [[0.5, 1], ["1", 2]],
+                 [[None, 0], [0.5, 1]]):
         with pytest.raises(fc.ParseError, match="bad matrix entry"):
             matrix_from_jsonable({"rows": 1, "cols": 2, "data": data})
     with pytest.raises(fc.ParseError):
@@ -159,3 +177,47 @@ def test_jsonable_pairs_keep_signed_zeros():
     back = matrix_from_jsonable(matrix_to_jsonable(c))
     assert np.array_equal(np.signbit(back.real), np.signbit(c.real))
     assert np.array_equal(np.signbit(back.imag), np.signbit(c.imag))
+
+
+@pytest.mark.parametrize("data", [
+    [0.25, -1.5, 3e300, 7.0],
+    [[0.25, -1.5], [3e300, 7.0]],
+    [1, 2.5, -3, 2 ** 70],
+    [[1, 2.5], [-3, 0], [2 ** 70, 0.125]],
+    [-0.0, 0.0, -0.0, 1],
+    [[-0.0, 0.0], [0.0, -0.0]],
+    [5e-324, -2.2e-310, 1e-308],
+    [[5e-324, -2.2e-310], [1e-308, -5e-324]],
+], ids=["real", "complex", "int-float", "int-float-pairs", "signed-zero",
+        "signed-zero-pairs", "subnormal", "subnormal-pairs"])
+def test_decoded_entries_are_numpy_bitwise(data):
+    got = _decode_entries(data)
+    want = np.array(data, dtype=np.float64)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data", [
+    [10 ** 400, 2], [-(10 ** 400), 2], [[10 ** 400, 0], [1, 2]],
+    [[1, 2], 10 ** 400], [1, [0, -(10 ** 400)]],
+], ids=["real", "negative", "pair", "fallback-number", "fallback-pair"])
+def test_integer_beyond_float_range_is_non_finite(data):
+    with pytest.raises(fc.NonFinite):
+        matrix_from_jsonable({"rows": 1, "cols": 2, "data": data})
+
+
+@pytest.mark.parametrize("name", ["m.csv", "m.json"])
+def test_read_rejects_bytes_that_are_not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(fc.ParseError, match="not UTF-8"):
+        fc.read_matrix(str(path))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+def test_read_rejects_integer_too_long_to_read(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 1, "cols": 1, "data": [1%s]}' % ("0" * 5000))
+    with pytest.raises(fc.ParseError, match="invalid JSON"):
+        fc.read_matrix(str(path))
