@@ -27,7 +27,6 @@ from .direct import Weights, complete_direct, solve_weights
 from .errors import BadShape, FramecError, NotAFamily, NotAFrame
 from .frames import (Family, Frame, PartialDual, Unique, canonical_dual,
                      dual_residual, frame_bounds, is_tight, make_frame)
-from .linalg import default_tol, numerical_rank
 from .matio import (matrix_from_jsonable, matrix_to_jsonable, read_matrix,
                     write_matrix)
 from .product import complete_via_product
@@ -112,14 +111,6 @@ def _resolve_tol(args) -> float | None:
     return tol
 
 
-def _frame(m, tol) -> Frame:
-    """make_frame, with too few columns to span reported as NotAFrame."""
-    try:
-        return make_frame(m, tol)
-    except BadShape as exc:
-        raise NotAFrame(str(exc)) from None
-
-
 def _emit(obj) -> None:
     # a report is a tree, so the encoder's cycle bookkeeping is waste
     print(json.dumps(obj, check_circular=False))
@@ -127,14 +118,11 @@ def _emit(obj) -> None:
 
 def cmd_check(args) -> int:
     m = read_matrix(args.frame)
-    tol = _resolve_tol(args)
     try:
-        fr = _frame(m, tol)
+        fr = make_frame(m, _resolve_tol(args))
     except NotAFrame as exc:
-        # the rank make_frame judged the matrix by, at the same tolerance
-        rank = numerical_rank(m, default_tol(m) if tol is None else tol)
         _emit({"status": "not_a_frame", "n": int(m.shape[0]),
-               "k": int(m.shape[1]), "rank": rank, "detail": str(exc)})
+               "k": int(m.shape[1]), "rank": exc.rank, "detail": str(exc)})
         return 3
     b = frame_bounds(fr)
     _emit({"status": "frame", "n": fr.n, "k": fr.k, "rank": fr.n,
@@ -144,7 +132,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    g = canonical_dual(_frame(read_matrix(args.frame), _resolve_tol(args)))
+    g = canonical_dual(make_frame(read_matrix(args.frame), _resolve_tol(args)))
     if args.output:
         write_matrix(g, args.output)
     else:
@@ -153,7 +141,7 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fr = _frame(read_matrix(args.frame), _resolve_tol(args))
+    fr = make_frame(read_matrix(args.frame), _resolve_tol(args))
     residual = dual_residual(fr, read_matrix(args.dual))
     ok = residual <= fr.tol
     _emit({"residual": residual, "dual_pair": ok, "tol": fr.tol})
@@ -218,7 +206,7 @@ def _report(outcome, method: str, fr: Frame, weights, notes: list) -> dict:
 def cmd_complete(args) -> int:
     h = read_matrix(args.partial)
     try:
-        fr = _frame(read_matrix(args.frame), _resolve_tol(args))
+        fr = make_frame(read_matrix(args.frame), _resolve_tol(args))
     except NotAFrame as exc:
         _emit({"status": "not_a_frame", "method": args.method,
                "residual": 0.0, "errata_notes": [str(exc)]})

@@ -21,8 +21,16 @@ class RankDeficient(FramecError):
     """A matrix required to have full rank does not."""
 
 
-class NotAFrame(FramecError):
-    """The columns of the matrix do not span the ambient space."""
+class NotAFrame(BadShape):
+    """The columns of the matrix do not span the ambient space.
+
+    rank is the numerical rank measured at the frame's tolerance, or
+    None where it was not measured.
+    """
+
+    def __init__(self, message: str, rank: int | None = None):
+        super().__init__(message)
+        self.rank = rank
 
 
 class NotDualPair(FramecError):

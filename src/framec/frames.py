@@ -189,20 +189,20 @@ def make_frame(m, tol: float | None = None) -> Frame:
     """Validate m as a frame matrix; attach a tolerance and its spectrum.
 
     Default tolerance is 1e-9 * max(1, ||m||_F).  Raises ValueError for
-    a tol that is not finite and positive, BadShape when k < n and
-    NotAFrame when the rows are dependent at the tolerance.
+    a tol that is not finite and positive, and NotAFrame, carrying the
+    rank measured at the tolerance, when k < n or the rows are dependent.
     """
     m = as_matrix(m)
     n, k = m.shape
-    if k < n:
-        raise BadShape(f"need at least {n} columns, got {k}")
     if tol is None:
         tol = default_tol(m)
     elif not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[n - 1] <= tol:
-        raise NotAFrame(f"matrix has numerical rank < {n} at tol {tol:g}")
+    if k < n or sigma[n - 1] <= tol:
+        why = (f"need at least {n} columns, got {k}" if k < n
+               else f"matrix has numerical rank < {n} at tol {tol:g}")
+        raise NotAFrame(why, rank=int(np.count_nonzero(sigma > tol)))
     return Frame(mat=m, n=n, k=k, tol=float(tol), sigma=sigma)
 
 
@@ -224,8 +224,13 @@ def frame_operator(f: Frame) -> np.ndarray:
 
 
 def canonical_dual(f: Frame) -> np.ndarray:
-    """The minimum-Frobenius-norm dual S^{-1} F."""
-    return np.linalg.solve(frame_operator(f), f.mat)
+    """The minimum-Frobenius-norm dual S^{-1} F.
+
+    With the thin SVD F = U Sigma V1* that is U Sigma^{-1} V1*; solving
+    with S = F F* instead would square the condition number of F.
+    """
+    u, sigma, vh = np.linalg.svd(f.mat, full_matrices=False)
+    return u @ (vh / sigma[:, None])
 
 
 def dual_residual(f: Frame, g) -> float:
@@ -307,8 +312,4 @@ def surgery_remove(f: Frame, g, positions) -> tuple[Frame, np.ndarray]:
         if np.linalg.norm(g[:, p]) > f.tol:
             raise NotZeroColumn(f"dual column {p} is not numerically zero")
     keep = [j for j in range(f.k) if j not in set(positions)]
-    try:
-        reduced = make_frame(f.mat[:, keep], tol=f.tol)
-    except BadShape as exc:
-        raise NotAFrame(f"removal leaves too few columns: {exc}") from None
-    return reduced, g[:, keep]
+    return make_frame(f.mat[:, keep], tol=f.tol), g[:, keep]

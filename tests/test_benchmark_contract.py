@@ -144,12 +144,12 @@ def test_family_decide_takes_eight_svds(svd_calls):
     assert svd_calls[0] <= 8
 
 
-# make_frame's one SVD gives a frame's rank, bounds and tightness; a
-# matrix that is not a frame adds numerical_rank for the reported rank
+# make_frame's one SVD gives a frame's rank, bounds and tightness, and
+# the rank NotAFrame reports for a matrix that is not a frame
 @pytest.mark.parametrize("m, code, svds", [
     (F_1234, 0, 1),
-    (np.array([[1.0, 2], [2, 4]]), 3, 2),
-    (np.array([[1.0, 0], [0, 1], [0, 0]]), 3, 2),
+    (np.array([[1.0, 2], [2, 4]]), 3, 1),
+    (np.array([[1.0, 0], [0, 1], [0, 0]]), 3, 1),
 ], ids=["frame", "rank-deficient", "tall"])
 def test_check_svd_count(tmp_path, svd_calls, m, code, svds):
     path = str(tmp_path / "f.csv")

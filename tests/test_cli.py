@@ -83,6 +83,7 @@ class TestCheck:
             ["check", files("f.csv", [[1.0, 0], [0, 1], [0, 0]])], capsys)
         assert code == 3
         assert rep["status"] == "not_a_frame"
+        assert rep["rank"] == 2
 
     def test_missing_file(self, tmp_path, capsys):
         code = cli.run(["check", str(tmp_path / "nope.csv")])
@@ -133,6 +134,15 @@ class TestCanonical:
         assert code == 0
         assert cli.run(["verify", files("f2.csv", F_1234), out]) == 0
         capsys.readouterr()
+
+    def test_ill_conditioned_output_verifies(self, files, capsys):
+        # cond(F) is about 2.3e4; a solve with F F* squares it
+        f = files("a.csv", [[1.0, 1, 0], [1, 1.0001, 0.0001]])
+        out = str(files.dir / "g.csv")
+        assert cli.run(["canonical", f, "--output", out]) == 0
+        code, rep, _ = run_json(["verify", f, out], capsys)
+        assert code == 0
+        assert rep["residual"] <= 1e-11
 
     def test_not_a_frame(self, files, capsys):
         code = cli.run(["canonical", files("f.csv", [[1.0, 1], [1, 1]])])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import random_dual, random_frame
+from framec.linalg import default_tol
+from helpers import conditioned_frame, random_dual, random_frame
 
 F_EX31 = np.array([[1.0, 2, 1, -1, 1], [1, 1, 0, 1, 2]])
 F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
@@ -29,6 +30,41 @@ def test_make_frame_rejections():
         fc.make_frame(np.ones((3, 2)))
     with pytest.raises(fc.NonFinite):
         fc.make_frame([[1.0, np.inf], [0, 1]])
+
+
+def test_not_a_frame_is_a_bad_shape():
+    assert issubclass(fc.NotAFrame, fc.BadShape)
+    assert fc.NotAFrame("unmeasured").rank is None
+
+
+@pytest.mark.parametrize("m, rank", [
+    ([[1.0, 2], [2, 4]], 1),
+    (np.zeros((2, 3)), 0),
+    ([[1.0, 0], [0, 1], [0, 0]], 2),
+    (np.ones((3, 2)), 1),
+    # sigma_min = 1e-12 is above the eps cutoff but below tol 1e-9
+    ([[1.0, 0], [0, 1e-12]], 1),
+], ids=["rank-deficient", "zero", "tall", "tall-rank-deficient", "tiny"])
+def test_make_frame_reports_the_rank_it_measured(m, rank):
+    with pytest.raises(fc.NotAFrame) as exc:
+        fc.make_frame(m)
+    assert exc.value.rank == rank
+    # the rank numerical_rank gives at the same tolerance
+    assert exc.value.rank == fc.numerical_rank(m, default_tol(np.asarray(m)))
+
+
+def test_make_frame_measures_rank_at_the_given_tolerance():
+    m = [[1.0, 0], [0, 1e-12]]
+    assert fc.make_frame(m, tol=1e-13).n == 2
+    with pytest.raises(fc.NotAFrame) as exc:
+        fc.make_frame(m, tol=1e-11)
+    assert exc.value.rank == 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_make_frame_checks_tolerance_before_shape(tol):
+    with pytest.raises(ValueError):
+        fc.make_frame(np.ones((3, 2)), tol=tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
@@ -76,6 +112,17 @@ def test_canonical_dual_is_adjoint_pseudoinverse():
             gap = np.linalg.norm(fc.canonical_dual(fr)
                                  - fc.pseudoinverse(fr.mat).conj().T)
             assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_canonical_dual_of_an_ill_conditioned_frame_is_a_dual(cplx):
+    # solving with S = F F* would square cond 1e4 to 1e8
+    rng = np.random.default_rng(47)
+    for n in range(2, 8):
+        for _ in range(5):
+            k = int(rng.integers(n + 1, 3 * n + 1))
+            fr = conditioned_frame(rng, n, k, 1e4, cplx)
+            assert fc.is_dual_pair(fr, fc.canonical_dual(fr)), (n, k)
 
 
 def test_is_dual_pair():
@@ -174,14 +221,22 @@ def test_surgery_remove_rejects_non_integral_positions():
     assert reduced.k == 3
 
 
+def test_surgery_remove_leaving_too_few_columns_is_not_a_frame():
+    fr = fc.make_frame(F_1234)
+    with pytest.raises(fc.NotAFrame) as exc:
+        fc.surgery_remove(fr, np.zeros((2, 4)), [0, 1, 2])
+    assert exc.value.rank == 1
+
+
 def test_surgery_remove_can_destroy_spanning_at_loose_tol():
     # the dual leans on a direction the leftover columns barely carry
     delta = 1e-4
     fr = fc.make_frame([[1.0, 0, 0], [0, delta, 1]], tol=1e-2)
     g = np.array([[1.0, 0, 0], [0, 1 / delta, 0]])
     assert fc.is_dual_pair(fr, g)
-    with pytest.raises(fc.NotAFrame):
+    with pytest.raises(fc.NotAFrame) as exc:
         fc.surgery_remove(fr, g, [2])
+    assert exc.value.rank == 1
 
 
 def test_family_members_match_prescription():
