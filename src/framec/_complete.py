@@ -2,11 +2,12 @@
 
 Each method reduces its completion problem to one linear system
 coef @ X = rhs, solved by minimum-norm least squares.  What differs is
-how a solution X is realized as an n x k dual matrix and how the kernel
-of coef is lifted to the direction rows W of the family.  The helpers
-here validate a prescription, give the direct route (the only one that
-permutes columns) its split [F_pres | F_free], classify the solve
-outcome, and assemble the CompletionOutcome.
+only its realize map, which turns X* and the conjugated kernel N* of
+coef into the particular dual and the direction rows W of the family,
+both in the frame's column order, so every family has the one shape
+particular + C @ W.  The helpers here validate a prescription, undo the
+direct route's column order, classify the solve outcome, and assemble
+the CompletionOutcome.
 """
 
 from __future__ import annotations
@@ -27,13 +28,6 @@ def check_partial(f: Frame, pd: PartialDual) -> None:
         raise BadShape(f"position {pd.indices[-1]} out of range 0..{f.k - 1}")
 
 
-def leading_permutation(pd: PartialDual, k: int) -> np.ndarray:
-    """Column order that moves the prescribed positions to the front."""
-    pres = set(pd.indices)
-    return np.array(list(pd.indices) + [j for j in range(k) if j not in pres],
-                    dtype=int)
-
-
 def unpermute(gp: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Undo a column permutation: column perm[j] of the result is gp[:, j].
 
@@ -43,15 +37,14 @@ def unpermute(gp: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def assemble_outcome(f: Frame, pd: PartialDual, lin: LinSolve,
-                     coef: np.ndarray, rhs: np.ndarray,
-                     particular: np.ndarray, lift):
+                     coef: np.ndarray, rhs: np.ndarray, realize):
     """Turn a reduced solve into a CompletionOutcome.
 
-    particular is the candidate dual in the frame's column order (only
-    meaningful when lin.consistent).  lift(nh) must map the d x m matrix
-    nh = N* of conjugated kernel directions of coef to the d x k
-    direction rows W in the same order; the family is then
-    particular + C @ W over all n x d matrices C.
+    realize(xs, nh) maps xs = X* of the solution and the d x m matrix
+    nh = N* of conjugated kernel directions of coef to the particular
+    dual and the d x k direction rows W, both in the frame's column
+    order; the family is then particular + C @ W over all n x d
+    matrices C.  It runs only when the system is consistent.
     """
     if not lin.consistent:
         # the solve's kernel already counts coef's rank at the same cutoff
@@ -60,9 +53,9 @@ def assemble_outcome(f: Frame, pd: PartialDual, lin: LinSolve,
             rank_augmented=numerical_rank(np.hstack([coef, rhs])),
             projector_residual=lin.residual)
         return NoCompletion(certificate=cert)
-    nh = adjoint(lin.nullspace)
-    if nh.shape[0] == 0:
+    particular, w = realize(adjoint(lin.solution), adjoint(lin.nullspace))
+    if w.shape[0] == 0:
         return Unique(G=particular)
-    fam = SolutionFamily(frame=f, particular=particular,
-                         directions=lift(nh), prescribed=pd)
+    fam = SolutionFamily(frame=f, particular=particular, directions=w,
+                         prescribed=pd)
     return Family(family=fam)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complete import (assemble_outcome, check_partial, leading_permutation,
-                        unpermute)
+from ._complete import assemble_outcome, check_partial, unpermute
 from .errors import BadShape, MixedField, NotDualPair
 from .frames import (CompletionOutcome, Frame, PartialDual, dual_residual,
                      make_frame)
@@ -63,29 +62,34 @@ def extend_dual_pair(f0: Frame, g0, f1) -> CompletionOutcome:
 def complete_direct(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """Complete a partial dual by the free-column linear system.
 
-    Prescribed positions are permuted to the front, the system
-    F_free @ G_free* = I - F_pres @ H* is solved by minimum-norm least
-    squares, and the outcome is classified by consistency and by the
-    kernel of F_free.  s = 0 reproduces the canonical dual as the
-    particular member.
+    The system F_free @ G_free* = I - F_pres @ H* on the free columns is
+    solved by minimum-norm least squares, and the outcome is classified
+    by consistency and by the kernel of F_free.  F_pres and F_free are
+    read off F by index, with no permuted copy of F; realize stacks
+    [H X*; 0 N*] in [prescribed | free] column order and one unpermute
+    puts it back in the frame's.  s = 0 reproduces the canonical dual as
+    the particular member.
     """
     check_partial(f, pd)
-    perm = leading_permutation(pd, f.k)
-    fp = f.mat[:, perm]
     s = pd.s
+    free = np.ones(f.k, dtype=bool)
+    free[list(pd.indices)] = False
+    # the prescribed positions, then the free ones, each in frame order
+    order = np.argsort(free, kind="stable")
     dtype = np.result_type(f.mat.dtype, pd.H.dtype)
-    f_pres = fp[:, :s]
-    f_free = fp[:, s:].astype(dtype)
-    rhs = np.eye(f.n, dtype=dtype) - f_pres @ adjoint(pd.H)
+    f_free = f.mat[:, order[s:]].astype(dtype, copy=False)
+    rhs = np.eye(f.n, dtype=dtype) - f.mat[:, order[:s]] @ adjoint(pd.H)
     lin = solve_min_norm(f_free, rhs, tol=f.tol)
-    particular = unpermute(
-        np.hstack([pd.H.astype(dtype), adjoint(lin.solution)]), perm)
 
-    def lift(nh):  # W = [0 | N*], back in the frame's column order
-        zeros = np.zeros((nh.shape[0], s), dtype=nh.dtype)
-        return unpermute(np.hstack([zeros, nh]), perm)
+    def realize(xs, nh):
+        g = np.zeros((f.n + nh.shape[0], f.k), dtype=dtype)
+        g[:f.n, :s] = pd.H
+        g[:f.n, s:] = xs
+        g[f.n:, s:] = nh
+        g = unpermute(g, order)
+        return g[:f.n], g[f.n:]
 
-    return assemble_outcome(f, pd, lin, f_free, rhs, particular, lift)
+    return assemble_outcome(f, pd, lin, f_free, rhs, realize)
 
 
 def complete_direct_scaled(f: Frame, pd: PartialDual,

@@ -311,5 +311,5 @@ def surgery_remove(f: Frame, g, positions) -> tuple[Frame, np.ndarray]:
     for p in positions:
         if np.linalg.norm(g[:, p]) > f.tol:
             raise NotZeroColumn(f"dual column {p} is not numerically zero")
-    keep = [j for j in range(f.k) if j not in set(positions)]
+    keep = np.delete(np.arange(f.k), positions)
     return make_frame(f.mat[:, keep], tol=f.tol), g[:, keep]

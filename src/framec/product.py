@@ -60,9 +60,5 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
     coef = adjoint(bottom[:, idx])
     rhs = adjoint(pd.H) - adjoint(top[:, idx])
     lin = solve_min_norm(coef, rhs, tol=f.tol)
-    particular = top + adjoint(lin.solution) @ bottom
-
-    def lift(nh):  # W = N* P[n:, :]
-        return nh @ bottom
-
-    return assemble_outcome(f, pd, lin, coef, rhs, particular, lift)
+    return assemble_outcome(f, pd, lin, coef, rhs,
+                            lambda xs, nh: (top + xs @ bottom, nh @ bottom))

@@ -8,6 +8,25 @@ import framec as fc
 
 ROUTES = (fc.complete_direct, fc.complete_via_product, fc.complete_via_svd)
 
+# The paper's worked examples.  Prescribed at positions (0, 1), H_TRIPLE
+# has the unique completion G_TRIPLE and H_STUCK has none (the last two
+# columns of F_COLLINEAR are collinear); H_WIDE at positions (0, 1, 2)
+# leaves a two-parameter family.
+F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
+H_TRIPLE = np.array([[2.0, 0], [1, 1], [3, 0]])
+G_TRIPLE = np.array([[2.0, 0, 0, -0.5], [1, 1, 0, -0.5], [3, 0, 1, -1.5]])
+
+F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
+H_STUCK = np.array([[1.0, 3], [2, 4]])
+
+F_WIDE = np.array([[1.0, 0, -1, -2, 1], [0, 1, 0, 4, -2]])
+H_WIDE = np.array([[1.0, 2, 1], [3, 4, 4.5]])
+
+F_HADAMARD = np.array([[1.0, 1, 1, 0], [1, -1, 0, 1]])
+H_HADAMARD = np.array([[0.5, 0.5], [0.5, -0.5]])
+
+F_1234 = np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]])
+
 
 def random_frame(rng, n=None, k=None, complex_field=False, n_max=4, k_max=8):
     """Random frame with entries uniform in [-2, 2] (per component)."""

@@ -20,15 +20,9 @@ import pytest
 
 import framec as fc
 from framec import cli
-from helpers import ROUTES
+from helpers import F_1234, F_COLLINEAR, F_SPARSE, H_STUCK, H_TRIPLE, ROUTES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
-H_STUCK = np.array([[1.0, 3], [2, 4]])
-F_1234 = np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]])
-F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
-H_TRIPLE = np.array([[2.0, 0], [1, 1], [3, 0]])
 
 
 def _load_tracing():

@@ -8,17 +8,8 @@ import pytest
 
 import framec as fc
 from framec import cli
-
-F_1234 = np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]])
-F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
-H_TRIPLE = np.array([[2.0, 0], [1, 1], [3, 0]])
-G_TRIPLE = np.array([[2.0, 0, 0, -0.5], [1, 1, 0, -0.5], [3, 0, 1, -1.5]])
-F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
-H_STUCK = np.array([[1.0, 3], [2, 4]])
-F_WIDE = np.array([[1.0, 0, -1, -2, 1], [0, 1, 0, 4, -2]])
-H_WIDE = np.array([[1.0, 2, 1], [3, 4, 4.5]])
-F_HADAMARD = np.array([[1.0, 1, 1, 0], [1, -1, 0, 1]])
-H_HADAMARD = np.array([[0.5, 0.5], [0.5, -0.5]])
+from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_SPARSE, F_WIDE,
+                     G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE)
 
 
 @pytest.fixture
@@ -322,6 +313,26 @@ class TestComplete:
             assert rep["method"] == method
             got = np.array(rep["dual"]["data"]).reshape(3, 4)
             assert np.linalg.norm(got - G_TRIPLE) <= 1e-8
+
+    @pytest.mark.parametrize("index", ["2", "3"])
+    @pytest.mark.parametrize("method", ["direct", "product", "svd"])
+    def test_interior_family_output_verifies(self, files, method, index,
+                                             capsys):
+        # each route realizes the family in its own coordinates; the
+        # dual it writes must carry H at the interior position asked for
+        col = [int(index) - 1]
+        h = H_WIDE[:, col]
+        out = str(files.dir / "dual.csv")
+        code, rep, err = run_json(
+            ["complete", files("f.csv", F_WIDE), files("h.csv", h),
+             "--indices", index, "--method", method, "--output", out],
+            capsys)
+        assert code == 0, err
+        assert (rep["status"], rep["method"]) == ("family", method)
+        assert cli.run(["verify", files("f2.csv", F_WIDE), out]) == 0
+        capsys.readouterr()
+        g = fc.read_matrix(out)
+        assert np.linalg.norm(g[:, col] - h) <= 1e-12
 
     def test_noise_block_still_frees_everything(self, files, capsys):
         # at positions 2 and 3 of F_SPARSE the svd route's V*_bl is

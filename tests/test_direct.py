@@ -2,20 +2,13 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import ROUTES, random_dual, random_frame, random_partial
+from helpers import (F_COLLINEAR, F_HADAMARD, F_WIDE, H_HADAMARD, H_STUCK,
+                     H_WIDE, ROUTES, random_dual, random_frame,
+                     random_partial)
 
 F0_BASIS = np.array([[1.0, 2], [1, 1]])
 G0_BASIS = np.array([[-1.0, 1], [2, -1]])
 F1_EXT = np.array([[1.0, -1, 1], [0, 1, 2]])
-
-F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
-H_STUCK = np.array([[1.0, 3], [2, 4]])
-
-F_WIDE = np.array([[1.0, 0, -1, -2, 1], [0, 1, 0, 4, -2]])
-H_WIDE = np.array([[1.0, 2, 1], [3, 4, 4.5]])
-
-F_HADAMARD = np.array([[1.0, 1, 1, 0], [1, -1, 0, 1]])
-H_HADAMARD = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
 def ext_family_member(x, y):
@@ -271,6 +264,32 @@ class TestCompleteDirect:
         for _ in range(100):
             g = fc.family_sample(fam, rng.uniform(-1, 1, fam.dof))
             assert base <= np.linalg.norm(g) + 1e-9
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_moving_the_positions_permutes_the_answer(self, complex_field):
+        # perm keeps the prescribed and the free columns each in their
+        # own order, so the solve sees the same system and only the
+        # realization moves the columns of the answer
+        rng = np.random.default_rng(73 + complex_field)
+        for s in range(8):
+            fr = random_frame(rng, n=3, k=7, complex_field=complex_field)
+            pd = random_partial(rng, fr, s=s, from_dual=random_dual(rng, fr))
+            moved = tuple(sorted(rng.choice(fr.k, size=s, replace=False)))
+            every = np.arange(fr.k)
+            perm = np.empty(fr.k, dtype=int)
+            perm[list(moved)] = pd.indices
+            perm[np.delete(every, moved)] = np.delete(every, pd.indices)
+            want = fc.complete_direct(fr, pd)
+            got = fc.complete_direct(fc.make_frame(fr.mat[:, perm]),
+                                     fc.PartialDual(pd.H, moved))
+            assert type(got) is type(want)
+            if isinstance(want, fc.Unique):
+                pairs = [(got.G, want.G)]
+            else:
+                pairs = [(got.family.particular, want.family.particular),
+                         (got.family.directions, want.family.directions)]
+            for a, b in pairs:
+                assert a.tobytes() == b[:, perm].tobytes()
 
 
 class TestScaled:

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import random_dual, random_frame, random_partial
+from helpers import ROUTES, random_dual, random_frame, random_partial
 
-ROUTES = {"direct": fc.complete_direct, "product": fc.complete_via_product,
-          "svd": fc.complete_via_svd}
+
+def route_name(route):
+    """direct, product or svd: the last word of the route's name."""
+    return route.__name__.rsplit("_", 1)[-1]
 
 
 def _families():
@@ -25,10 +27,10 @@ def _families():
     for field in ("real", "complex"):
         fr = random_frame(rng, n=3, k=8, complex_field=field == "complex")
         pd = random_partial(rng, fr, s=2, from_dual=random_dual(rng, fr))
-        for name, route in ROUTES.items():
+        for route in ROUTES:
             res = route(fr, pd)
             assert isinstance(res, fc.Family)
-            out[f"{name}-{field}"] = res.family
+            out[f"{route_name(route)}-{field}"] = res.family
         f0 = random_frame(rng, n=2, k=3, complex_field=field == "complex")
         res = fc.extend_dual_pair(f0, random_dual(rng, f0),
                                   rng.standard_normal((2, 4)))
@@ -160,9 +162,9 @@ def test_family_arrays_are_c_contiguous(name):
     assert fam.directions.flags["C_CONTIGUOUS"]
 
 
-@pytest.mark.parametrize("name", ["direct", "svd"])
+@pytest.mark.parametrize("route", ROUTES[::2], ids=route_name)
 @pytest.mark.parametrize("complex_field", [False, True])
-def test_particular_is_min_norm_member(name, complex_field):
+def test_particular_is_min_norm_member(route, complex_field):
     # the direct and svd particulars are orthogonal to every direction;
     # the product route's [I A] P with minimum-norm A is not
     rng = np.random.default_rng(223 + complex_field)
@@ -170,7 +172,7 @@ def test_particular_is_min_norm_member(name, complex_field):
         fr = random_frame(rng, n=3, k=8, complex_field=complex_field)
         s = int(rng.integers(1, fr.k - fr.n))
         pd = random_partial(rng, fr, s=s, from_dual=random_dual(rng, fr))
-        fam = ROUTES[name](fr, pd).family
+        fam = route(fr, pd).family
         base = np.linalg.norm(fam.particular)
         cross = np.linalg.norm(fam.particular @ fam.directions.conj().T)
         assert cross <= 1e-9 * base * np.linalg.norm(fam.directions)

@@ -3,11 +3,10 @@ import pytest
 
 import framec as fc
 from framec.linalg import default_tol
-from helpers import conditioned_frame, random_dual, random_frame
+from helpers import (F_1234, F_SPARSE, conditioned_frame, random_dual,
+                     random_frame)
 
 F_EX31 = np.array([[1.0, 2, 1, -1, 1], [1, 1, 0, 1, 2]])
-F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
-F_1234 = np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]])
 F_TIGHT = np.array([[1.0, 1, 0, 0], [0, 0, 1, 1]])
 
 

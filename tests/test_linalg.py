@@ -5,19 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import framec as fc
-from helpers import exact_rank
+from helpers import F_1234, F_COLLINEAR, F_SPARSE, exact_rank
 
 ATOL = 1e-10
 
-# frame with collinear last columns; its completion problem is infeasible
-F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
 # worked product matrices, used as elimination fixtures
 P_SPARSE = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                      [-2, 0, 0, 1]])
-F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
 P_1234 = np.array([[-3.0, 4, 0, 0], [2, -1, 0, 0], [5, -10, 5, 0],
                    [10, -15, 0, 5]]) / 5
-F_1234 = np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]])
 
 finite_entries = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 

@@ -5,27 +5,16 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import (ROUTES, conditioned_frame, random_dual, random_frame,
+from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_SPARSE, F_WIDE,
+                     G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE, ROUTES,
+                     conditioned_frame, random_dual, random_frame,
                      random_partial)
 
-F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
 P_SPARSE = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0],
                      [0, 0, 1, 0], [-2, 0, 0, 1]])
-H_TRIPLE = np.array([[2.0, 0], [1, 1], [3, 0]])
-G_TRIPLE = np.array([[2.0, 0, 0, -0.5], [1, 1, 0, -0.5], [3, 0, 1, -1.5]])
 
-F_1234 = np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]])
 P_1234 = np.array([[-3.0, 4, 0, 0], [2, -1, 0, 0],
                    [5, -10, 5, 0], [10, -15, 0, 5]]) / 5
-
-F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
-H_STUCK = np.array([[1.0, 3], [2, 4]])
-
-F_WIDE = np.array([[1.0, 0, -1, -2, 1], [0, 1, 0, 4, -2]])
-H_WIDE = np.array([[1.0, 2, 1], [3, 4, 4.5]])
-
-F_HADAMARD = np.array([[1.0, 1, 1, 0], [1, -1, 0, 1]])
-H_HADAMARD = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
 def wide_family_member(a, b):

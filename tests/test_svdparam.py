@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import ROUTES, random_dual, random_frame, random_partial
-
-F_SPARSE = np.array([[1.0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
-H_TRIPLE = np.array([[2.0, 0], [1, 1], [3, 0]])
-G_TRIPLE = np.array([[2.0, 0, 0, -0.5], [1, 1, 0, -0.5], [3, 0, 1, -1.5]])
-
-F_COLLINEAR = np.array([[1.0, 0, -1, -2], [0, 1, -2, -4]])
-H_STUCK = np.array([[1.0, 3], [2, 4]])
-
-F_WIDE = np.array([[1.0, 0, -1, -2, 1], [0, 1, 0, 4, -2]])
-H_WIDE = np.array([[1.0, 2, 1], [3, 4, 4.5]])
+from helpers import (F_COLLINEAR, F_SPARSE, F_WIDE, G_TRIPLE, H_STUCK,
+                     H_TRIPLE, H_WIDE, ROUTES, random_dual, random_frame,
+                     random_partial)
 
 
 def sparse_dual(s, t, w):
