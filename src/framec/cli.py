@@ -27,8 +27,8 @@ from .direct import Weights, complete_direct, solve_weights
 from .errors import BadShape, FramecError, NotAFamily, NotAFrame
 from .frames import (Family, Frame, PartialDual, Unique, canonical_dual,
                      dual_residual, frame_bounds, is_tight, make_frame)
-from .matio import (matrix_from_jsonable, matrix_to_jsonable, read_matrix,
-                    write_matrix)
+from .matio import (_basis_json, matrix_from_jsonable, matrix_to_jsonable,
+                    read_matrix, write_matrix)
 from .product import complete_via_product
 from .svdparam import complete_via_svd
 
@@ -39,6 +39,10 @@ class _Usage(Exception):
 
 class _Disagreement(Exception):
     pass
+
+
+class _JsonText(str):
+    """A report value that is already JSON text."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,9 +115,13 @@ def _resolve_tol(args) -> float | None:
     return tol
 
 
-def _emit(obj) -> None:
+def _emit(obj: dict) -> None:
+    """Print obj as the one line json.dumps writes; _JsonText goes as is."""
     # a report is a tree, so the encoder's cycle bookkeeping is waste
-    print(json.dumps(obj, check_circular=False))
+    print("{" + ", ".join(
+        f"{json.dumps(key)}: "
+        + (v if type(v) is _JsonText else json.dumps(v, check_circular=False))
+        for key, v in obj.items()) + "}")
 
 
 def cmd_check(args) -> int:
@@ -188,7 +196,7 @@ def _report(outcome, method: str, fr: Frame, weights, notes: list) -> dict:
         fam = outcome.family
         rep["status"] = "family"
         rep["dual"] = matrix_to_jsonable(fam.particular)
-        rep["basis"] = [matrix_to_jsonable(b) for b in fam.basis]
+        rep["basis"] = _JsonText(_basis_json(fam.directions, fr.n))
         rep["dof"] = fam.dof
         rep["residual"] = dual_residual(fr, fam.particular)
     else:

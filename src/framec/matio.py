@@ -132,6 +132,26 @@ def matrix_to_jsonable(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def _basis_json(w, n: int) -> str:
+    """JSON text of the n * d basis matrices of direction rows w (d x k).
+
+    The bytes json.dumps writes for [matrix_to_jsonable(b) for b in
+    FamilyBasis(w, n)], with no basis matrix built: element i * n + row
+    is zero but for row `row`, equal to w[i], so each row of w and one
+    zero row are encoded once and the elements are spliced from them.
+    """
+    w = as_matrix(w, allow_empty=True)
+    rows = np.concatenate([np.zeros((1, w.shape[1]), w.dtype), w])
+    if np.iscomplexobj(rows):
+        rows = np.stack([rows.real, rows.imag], axis=-1)
+    zero, *texts = (json.dumps(r)[1:-1] for r in rows.tolist())
+    head = f'{{"rows": {n}, "cols": {w.shape[1]}, "data": ['
+    before = [f"{zero}, " * row for row in range(n)]
+    after = [f", {zero}" * (n - 1 - row) for row in range(n)]
+    return "[" + ", ".join(f"{head}{before[row]}{text}{after[row]}]}}"
+                           for text in texts for row in range(n)) + "]"
+
+
 def read_matrix(path: str, fmt: str | None = None) -> np.ndarray:
     """Read a matrix file; format inferred from the extension by default."""
     fmt = _infer_format(path, fmt)

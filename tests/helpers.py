@@ -87,6 +87,35 @@ def conditioned_instance(rng, n, k, s, cond, verdict, complex_field=False):
     return fr, fc.PartialDual(h, idx)
 
 
+KINDS = {"family": fc.Family, "unique": fc.Unique, "none": fc.NoCompletion}
+PER_GROUP = 10
+
+
+def known_verdict_instances(cond):
+    """(verdict, dof, frame, prescription) of 360 seeded problems at cond.
+
+    PER_GROUP problems for each n = 2..7, real and complex, and verdict,
+    with k in n+1..3n and s in the verdict's range; conditioned_instance
+    builds each one.
+    """
+    rng = np.random.default_rng(0)
+    for n in range(2, 8):
+        for cplx in (False, True):
+            for verdict in KINDS:
+                for _ in range(PER_GROUP):
+                    k = int(rng.integers(n + 1, 3 * n + 1))
+                    if verdict == "family":
+                        s = int(rng.integers(0, k - n))
+                    elif verdict == "unique":
+                        s = int(rng.integers(k - n, k + 1))
+                    else:
+                        s = int(rng.integers(k - n + 1, k + 1))
+                    fr, pd = conditioned_instance(rng, n, k, s, cond,
+                                                  verdict, cplx)
+                    dof = n * (k - s - n) if verdict == "family" else 0
+                    yield verdict, dof, fr, pd
+
+
 def random_partial(rng, fr, s=None, from_dual=None):
     """Random prescription at random positions.
 

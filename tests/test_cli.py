@@ -495,6 +495,103 @@ class TestCompleteWeights:
         assert "usage error" in capsys.readouterr().err
 
 
+def spelled_out_report(method, fr, fam, weights=None):
+    """A family report's bytes with every basis matrix built and encoded."""
+    rep = {"method": method, "errata_notes": []}
+    if weights is not None:
+        rep["weights"] = list(weights)
+    to_json = fc.matio.matrix_to_jsonable
+    rep.update(status="family", dual=to_json(fam.particular),
+               basis=[to_json(b) for b in fam.basis], dof=fam.dof,
+               residual=fc.dual_residual(fr, fam.particular))
+    return json.dumps(rep, check_circular=False) + "\n"
+
+
+class TestFamilyReportBytes:
+    ROUTE = {"direct": fc.complete_direct, "product": fc.complete_via_product,
+             "svd": fc.complete_via_svd, "all": fc.complete_direct}
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("method", ["direct", "product", "svd", "all"])
+    def test_report_is_the_spelled_out_one(self, files, capsys, method,
+                                           field, weighted):
+        # the product route's directions are not orthonormal rows
+        rng = np.random.default_rng(4021)
+        fm = rng.standard_normal((3, 8)).astype(field)
+        if field is complex:
+            fm += 1j * rng.standard_normal((3, 8))
+        w = [0.5, -1.25]
+        h = fc.canonical_dual(fc.make_frame(fm))[:, [1, 4]]
+        ext = "json" if field is complex else "csv"
+        argv = ["complete", files(f"f.{ext}", fm),
+                files(f"h.{ext}", h / w if weighted else h),
+                "--indices", "2,5", "--method", method]
+        if weighted:
+            argv += ["--weights", files("w.csv", [w])]
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        fr = fc.make_frame(fc.read_matrix(argv[1]))
+        pd = fc.PartialDual(fc.read_matrix(argv[2]), (1, 4))
+        if weighted:
+            pd = pd.scaled(w)
+        fam = self.ROUTE[method](fr, pd).family
+        assert fam.dof == 9
+        assert out == spelled_out_report(method, fr, fam,
+                                         w if weighted else None)
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_edge_floats_keep_their_repr(self, files, capsys, monkeypatch,
+                                         field):
+        fr = fc.make_frame(F_1234)
+        w = np.array([[-0.0, 5e-324, 1e308, 1 / 3],
+                      [1 / 3, -1e-300, 2.5e-310, -1e308]], dtype=field)
+        if field is complex:
+            w = w + 1j * w[::-1]
+        fam = fc.SolutionFamily(fr, fc.canonical_dual(fr).astype(field), w,
+                                fc.PartialDual(np.array([[1.0], [0.0]])))
+        monkeypatch.setattr(cli, "complete_direct",
+                            lambda fr, pd: fc.Family(fam))
+        assert cli.run(["complete", files("f.csv", F_1234),
+                        files("h.csv", [[1.0], [0.0]]),
+                        "--method", "direct"]) == 0
+        out = capsys.readouterr().out
+        if field is float:
+            assert "[-0.0, 5e-324, 1e+308, 0.3333333333333333, 0.0, " in out
+        assert out == spelled_out_report("direct", fr, fam)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_direction_is_an_error(self, files, capsys,
+                                              monkeypatch, bad):
+        fr = fc.make_frame(F_1234)
+        w = np.array([[0.0, 1.0, bad, 0.0]])
+        fam = fc.SolutionFamily(fr, fc.canonical_dual(fr), w,
+                                fc.PartialDual(np.array([[1.0], [0.0]])))
+        monkeypatch.setattr(cli, "complete_direct",
+                            lambda fr, pd: fc.Family(fam))
+        assert cli.run(["complete", files("f.csv", F_1234),
+                        files("h.csv", [[1.0], [0.0]]),
+                        "--method", "direct"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "NaN or infinite" in out.err
+
+    def test_no_basis_matrix_is_built(self, files, capsys, monkeypatch):
+        def refuse(self, j):
+            raise AssertionError("a basis matrix was built")
+
+        monkeypatch.setattr(fc.frames.FamilyBasis, "__getitem__", refuse)
+        fm = np.array([[1.0, 0, 1j, 0, 1], [0, 1, 0, 1 + 1j, 2j]])
+        h = fc.canonical_dual(fc.make_frame(fm))[:, [0]]
+        code, rep, err = run_json(
+            ["complete", files("f.json", fm), files("h.json", h)], capsys)
+        assert code == 0, err
+        assert rep["dof"] == len(rep["basis"]) == 4
+        g = fc.matio.matrix_from_jsonable(rep["basis"][3])
+        assert np.count_nonzero(np.abs(g).sum(axis=1)) == 1
+
+
 class TestSample:
     def complete_family(self, files, capsys):
         rep_path = files.dir / "rep.json"

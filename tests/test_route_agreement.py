@@ -18,38 +18,15 @@ not duals at the frame's tolerance: 6, 46 and 68 at cond 1e2, 1e3 and
 are.
 """
 
-import numpy as np
 import pytest
 
 import framec as fc
-from helpers import ROUTES, conditioned_instance
-
-KINDS = {"family": fc.Family, "unique": fc.Unique, "none": fc.NoCompletion}
-PER_GROUP = 10
+from helpers import KINDS, PER_GROUP, ROUTES, known_verdict_instances
 
 _ROUTE_DISAGREEMENT = pytest.mark.xfail(
     strict=True,
     reason="routes judge their own residuals; ROADMAP 'Decide once, from "
            "the free columns'")
-
-
-def instances(cond):
-    rng = np.random.default_rng(0)
-    for n in range(2, 8):
-        for cplx in (False, True):
-            for verdict in KINDS:
-                for _ in range(PER_GROUP):
-                    k = int(rng.integers(n + 1, 3 * n + 1))
-                    if verdict == "family":
-                        s = int(rng.integers(0, k - n))
-                    elif verdict == "unique":
-                        s = int(rng.integers(k - n, k + 1))
-                    else:
-                        s = int(rng.integers(k - n + 1, k + 1))
-                    fr, pd = conditioned_instance(rng, n, k, s, cond,
-                                                  verdict, cplx)
-                    dof = n * (k - s - n) if verdict == "family" else 0
-                    yield verdict, dof, fr, pd
 
 
 CONDS = [
@@ -63,7 +40,7 @@ CONDS = [
 @pytest.mark.parametrize("cond", CONDS)
 def test_every_route_returns_the_built_verdict(cond):
     seen = 0
-    for verdict, dof, fr, pd in instances(cond):
+    for verdict, dof, fr, pd in known_verdict_instances(cond):
         assert fr.sigma[0] / fr.sigma[-1] == pytest.approx(cond)
         for route in ROUTES:
             out = route(fr, pd)
@@ -79,7 +56,7 @@ def test_every_route_returns_the_built_verdict(cond):
 def test_every_answer_is_a_dual(cond):
     # what `framec complete --output` writes must pass `framec verify`
     seen = 0
-    for _, _, fr, pd in instances(cond):
+    for _, _, fr, pd in known_verdict_instances(cond):
         for route in ROUTES:
             out = route(fr, pd)
             if isinstance(out, fc.Unique):
