@@ -10,13 +10,14 @@ for a d x k matrix W of direction rows).
 
 from __future__ import annotations
 
+import cmath
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadShape, NotAFrame, NotZeroColumn
+from .errors import BadShape, NonFinite, NotAFrame, NotZeroColumn
 from .linalg import adjoint, as_matrix, default_tol
 
 
@@ -185,6 +186,13 @@ class Family:
 CompletionOutcome = NoCompletion | Unique | Family
 
 
+def _checked_tol(tol: float) -> float:
+    """tol itself; ValueError unless it is finite and positive."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 def make_frame(m, tol: float | None = None) -> Frame:
     """Validate m as a frame matrix; attach a tolerance and its spectrum.
 
@@ -194,10 +202,7 @@ def make_frame(m, tol: float | None = None) -> Frame:
     """
     m = as_matrix(m)
     n, k = m.shape
-    if tol is None:
-        tol = default_tol(m)
-    elif not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    tol = default_tol(m) if tol is None else _checked_tol(tol)
     sigma = np.linalg.svd(m, compute_uv=False)
     if k < n or sigma[n - 1] <= tol:
         why = (f"need at least {n} columns, got {k}" if k < n
@@ -233,22 +238,32 @@ def canonical_dual(f: Frame) -> np.ndarray:
     return u @ (vh / sigma[:, None])
 
 
-def dual_residual(f: Frame, g) -> float:
-    """||F G* - I||_F, the defect of G as a dual of F."""
+def _as_dual(f: Frame, g) -> np.ndarray:
+    """g validated as an n x k matrix for the frame f."""
     g = as_matrix(g)
     if g.shape != (f.n, f.k):
         raise BadShape(f"dual must be {f.n} x {f.k}, got {g.shape}")
+    return g
+
+
+def _defect(f: Frame, g: np.ndarray) -> float:
+    """||F G* - I||_F for a g that _as_dual has validated."""
     return float(np.linalg.norm(f.mat @ adjoint(g) - np.eye(f.n)))
 
 
+def dual_residual(f: Frame, g) -> float:
+    """||F G* - I||_F, the defect of G as a dual of F."""
+    return _defect(f, _as_dual(f, g))
+
+
 def is_dual_pair(f: Frame, g, tol: float | None = None) -> bool:
-    """Whether F G* = I within tol.
+    """Whether F G* = I within tol (default f.tol).
 
     The one-sided check suffices: (F G*)* = G F*, so F G* = I forces
-    G F* = I as well.
+    G F* = I as well.  Raises ValueError for a tol that is not finite
+    and positive.
     """
-    if tol is None:
-        tol = f.tol
+    tol = f.tol if tol is None else _checked_tol(tol)
     return dual_residual(f, g) <= tol
 
 
@@ -257,28 +272,44 @@ def family_sample(fam: SolutionFamily, coefficients) -> np.ndarray:
 
     Coefficient i * n + row multiplies basis element i * n + row, so the
     member is particular + C @ directions with C[row, i] taken from it.
+    Raises BadShape for a wrong length or for entries that are not
+    numbers, and NonFinite for NaN or infinite ones.  numpy may warn of
+    an invalid value when a complex entry is infinite, and of an
+    overflow when the squared norm of c overflows in c's precision.
     """
-    c = np.atleast_1d(np.asarray(coefficients))
-    if c.shape != (fam.dof,):
-        raise BadShape(f"expected {fam.dof} coefficients, got shape {c.shape}")
-    d = fam.directions.shape[0]
-    return fam.particular + c.reshape(d, fam.frame.n).T @ fam.directions
+    n = fam.frame.n
+    w = fam.directions
+    c = np.ascontiguousarray(coefficients)
+    if c.shape != (n * w.shape[0],):
+        raise BadShape(f"expected {n * w.shape[0]} coefficients, "
+                       f"got shape {c.shape}")
+    try:
+        # c . c is NaN or inf when an entry is, and costs far less than
+        # np.isfinite(c).all(), which decides only when c . c overflows
+        finite = cmath.isfinite(c.dot(c)) or np.isfinite(c).all()
+    except (TypeError, ValueError):
+        raise BadShape(f"coefficients must be numbers, got dtype={c.dtype}"
+                       ) from None
+    if not finite:
+        raise NonFinite("coefficients contain NaN or infinite entries")
+    return fam.particular + c.reshape(-1, n).T.dot(w)
 
 
 def family_contains(fam: SolutionFamily, g, tol: float | None = None) -> bool:
     """Whether g belongs to the family.
 
-    Checks the dual equation, the prescribed columns, and that every row
-    of g - particular lies in the row span of the directions (by least
-    squares, with the cutoff of the equivalent nk x nd system).
+    Checks the dual equation and the prescribed columns within tol
+    (default the frame's; ValueError unless finite and positive), and
+    that every row of D = g - particular lies in the row span of the
+    directions W.  When W has orthonormal rows, as the direct and SVD
+    routes build it, that is the projection residual ||D - (D W*) W||,
+    O(n k d) work.  Any other W, such as the product route's, is solved
+    by least squares with the cutoff of the equivalent nk x nd system.
     """
-    g = as_matrix(g)
     f = fam.frame
-    if g.shape != (f.n, f.k):
-        raise BadShape(f"expected shape {(f.n, f.k)}, got {g.shape}")
-    if tol is None:
-        tol = f.tol
-    if not is_dual_pair(f, g, tol):
+    g = _as_dual(f, g)
+    tol = f.tol if tol is None else _checked_tol(tol)
+    if _defect(f, g) > tol:
         return False
     pd = fam.prescribed
     if pd.s:
@@ -289,10 +320,23 @@ def family_contains(fam: SolutionFamily, g, tol: float | None = None) -> bool:
     diff = g - fam.particular
     if not fam.dof:
         return float(np.linalg.norm(diff)) <= tol * max(1.0, float(np.linalg.norm(fam.particular)))
-    wt = fam.directions.T
+    w = fam.directions
+    wh = adjoint(w)
+    d = w.shape[0]
     rcond = np.finfo(np.float64).eps * f.n * f.k
-    coef, *_ = np.linalg.lstsq(wt, diff.T, rcond=rcond)
-    resid = float(np.linalg.norm(wt @ coef - diff.T))
+    # far below any threshold the residual is compared with, so the two
+    # paths can only disagree on a g within a hair of it
+    slack = rcond * d
+    # the squared row norms, O(d k), turn away the product route's W
+    # before the O(d^2 k) test of W W* = I
+    squares = np.einsum("ij,ij->i", w, wh.T)
+    if (np.abs(squares - 1).max() <= slack
+            and np.linalg.norm(w @ wh - np.eye(d)) <= slack):
+        resid = float(np.linalg.norm(diff - (diff @ wh) @ w))
+    else:
+        wt = w.T
+        coef, *_ = np.linalg.lstsq(wt, diff.T, rcond=rcond)
+        resid = float(np.linalg.norm(wt @ coef - diff.T))
     return resid <= tol * max(1.0, float(np.linalg.norm(diff)))
 
 
@@ -304,9 +348,7 @@ def surgery_remove(f: Frame, g, positions) -> tuple[Frame, np.ndarray]:
     columns of f must still span (NotAFrame otherwise).  Returns the
     reduced (frame, dual) pair, still dual to each other.
     """
-    g = as_matrix(g)
-    if g.shape != (f.n, f.k):
-        raise BadShape(f"dual must be {f.n} x {f.k}, got {g.shape}")
+    g = _as_dual(f, g)
     positions = _positions(positions, f.k)
     for p in positions:
         if np.linalg.norm(g[:, p]) > f.tol:

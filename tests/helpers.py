@@ -146,6 +146,24 @@ def random_dual(rng, fr):
     return fc.family_sample(out.family, c)
 
 
+def dense_contains(fam, g, tol=None):
+    """Membership by least squares on the nk x nd raveled basis."""
+    f = fam.frame
+    tol = f.tol if tol is None else tol
+    if not fc.is_dual_pair(f, g, tol):
+        return False
+    pd = fam.prescribed
+    want = pd.H
+    if np.linalg.norm(g[:, list(pd.indices)] - want) \
+            > tol * max(1.0, np.linalg.norm(want)):
+        return False
+    diff = g - fam.particular
+    span = np.column_stack([b.ravel() for b in fam.basis])
+    coef, *_ = np.linalg.lstsq(span, diff.ravel(), rcond=None)
+    resid = float(np.linalg.norm(span @ coef - diff.ravel()))
+    return resid <= tol * max(1.0, float(np.linalg.norm(diff)))
+
+
 def exact_rank(m) -> int:
     """Rank over the rationals, for integer matrices (brute-force oracle)."""
     rows = [[Fraction(int(x)) for x in row] for row in np.asarray(m).tolist()]

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import framec as fc
-from helpers import ROUTES, random_dual, random_frame, random_partial
+from helpers import (ROUTES, dense_contains, random_dual, random_frame,
+                     random_partial)
 
 
 def route_name(route):
@@ -48,24 +49,6 @@ def _coefficients(rng, fam):
     if np.iscomplexobj(fam.particular):
         c = c + 1j * rng.uniform(-1, 1, fam.dof)
     return c
-
-
-def dense_contains(fam, g, tol=None):
-    """Membership by least squares on the nk x nd raveled basis."""
-    f = fam.frame
-    tol = f.tol if tol is None else tol
-    if not fc.is_dual_pair(f, g, tol):
-        return False
-    pd = fam.prescribed
-    want = pd.H
-    if np.linalg.norm(g[:, list(pd.indices)] - want) \
-            > tol * max(1.0, np.linalg.norm(want)):
-        return False
-    diff = g - fam.particular
-    span = np.column_stack([b.ravel() for b in fam.basis])
-    coef, *_ = np.linalg.lstsq(span, diff.ravel(), rcond=None)
-    resid = float(np.linalg.norm(span @ coef - diff.ravel()))
-    return resid <= tol * max(1.0, float(np.linalg.norm(diff)))
 
 
 def eliminate_loop(fstar):

@@ -190,6 +190,61 @@ def test_family_contains_rejects_outsiders():
     assert not fc.family_contains(fam, bad)
 
 
+def _unconstrained_family():
+    fr = fc.make_frame(F_1234)
+    return fc.complete_direct(fr, fc.PartialDual(np.zeros((2, 0)))).family
+
+
+# an infinite complex entry meets 0 * inf in complex products, on which
+# numpy may warn of an invalid value, as it does when such a c reaches
+# the member's product; the check under test is the NonFinite
+_COMPLEX_INF = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning")
+
+
+@pytest.mark.parametrize("bad", [
+    np.nan, np.inf, -np.inf, complex(np.nan, 1),
+    pytest.param(complex(np.inf, 1), marks=_COMPLEX_INF),
+    pytest.param(complex(0, -np.inf), marks=_COMPLEX_INF),
+])
+def test_family_sample_rejects_non_finite_coefficients(bad):
+    fam = _unconstrained_family()
+    c = [0.5] * fam.dof
+    c[-1] = bad
+    with pytest.raises(fc.NonFinite):
+        fc.family_sample(fam, c)
+
+
+@pytest.mark.parametrize("c", [["1", "0", "0", "0"], [None] * 4,
+                               [b"1", b"0", b"0", b"0"]])
+def test_family_sample_rejects_non_numeric_coefficients(c):
+    fam = _unconstrained_family()
+    assert fam.dof == len(c)
+    with pytest.raises(fc.BadShape):
+        fc.family_sample(fam, c)
+
+
+def test_family_sample_takes_large_finite_coefficients():
+    # the squared norm of c overflows, with numpy's warning, but c and the
+    # member are finite
+    fam = _unconstrained_family()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        g = fc.family_sample(fam, [1e300, 0, 0, -1e300])
+    assert np.isfinite(g).all()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_membership_checks_reject_tolerance_that_is_not_finite_positive(tol):
+    fam = _unconstrained_family()
+    g = fam.particular
+    with pytest.raises(ValueError):
+        fc.is_dual_pair(fam.frame, g, tol)
+    with pytest.raises(ValueError):
+        fc.family_contains(fam, g, tol)
+    assert fc.is_dual_pair(fam.frame, g, 1e-6)
+    assert fc.family_contains(fam, g, 1e-6)
+
+
 def test_surgery_remove_paper_example():
     fr = fc.make_frame(F_1234)
     member = ex0dual_member(0.0, 0.0, 0.7, -0.3)
