@@ -267,32 +267,55 @@ def is_dual_pair(f: Frame, g, tol: float | None = None) -> bool:
     return dual_residual(f, g) <= tol
 
 
+# dtypes whose products with float64 or complex128 numpy returns as those
+_PLAIN = frozenset(map(np.dtype, "?" + np.typecodes["AllInteger"] + "efdFD"))
+
+
 def family_sample(fam: SolutionFamily, coefficients) -> np.ndarray:
     """Member of the family at the given coefficient vector.
 
     Coefficient i * n + row multiplies basis element i * n + row, so the
     member is particular + C @ directions with C[row, i] taken from it.
-    Raises BadShape for a wrong length or for entries that are not
-    numbers, and NonFinite for NaN or infinite ones.  numpy may warn of
-    an invalid value when a complex entry is infinite, and of an
-    overflow when the squared norm of c overflows in c's precision.
+    The member is float64 or complex128.  Raises BadShape for a wrong
+    length or for entries that are not integer, float or complex numbers
+    (a Fraction, a long double), and NonFinite for NaN or infinite ones,
+    for integers beyond the float range, and for a member with entries
+    beyond it (checked when the squared norm of c overflows: a smaller c
+    cannot take a route's family there).  numpy
+    may warn of an invalid value when a complex entry is infinite, and
+    of an overflow when the squared norm of c or the member overflows.
     """
     n = fam.frame.n
     w = fam.directions
     c = np.ascontiguousarray(coefficients)
+    if c.dtype not in _PLAIN:
+        # integers beyond int64 come as Python objects, floats with them
+        if c.dtype != object or not all(
+                isinstance(x, (int, float)) for x in c.flat):
+            raise BadShape("coefficients must be integer, float or complex "
+                           f"numbers, got dtype={c.dtype}")
+        try:
+            c = c.astype(np.float64)
+        except OverflowError:
+            raise NonFinite("coefficients lie beyond the float range"
+                            ) from None
     if c.shape != (n * w.shape[0],):
         raise BadShape(f"expected {n * w.shape[0]} coefficients, "
                        f"got shape {c.shape}")
-    try:
-        # c . c is NaN or inf when an entry is, and costs far less than
-        # np.isfinite(c).all(), which decides only when c . c overflows
-        finite = cmath.isfinite(c.dot(c)) or np.isfinite(c).all()
-    except (TypeError, ValueError):
-        raise BadShape(f"coefficients must be numbers, got dtype={c.dtype}"
-                       ) from None
-    if not finite:
+    # c . c is NaN or inf when an entry is, and costs far less than
+    # np.isfinite(c).all(), which decides only when c . c overflows
+    large = not cmath.isfinite(c.dot(c))
+    if large and not np.isfinite(c).all():
         raise NonFinite("coefficients contain NaN or infinite entries")
-    return fam.particular + c.reshape(-1, n).T.dot(w)
+    member = fam.particular + c.reshape(-1, n).T.dot(w)
+    # unless c . c overflowed, every entry of c is below about 1e154, and
+    # an entry of C @ W below 1e154 * sqrt(n d) times a column norm of W:
+    # at most 1 for the direct and SVD routes' orthonormal W, moderate for
+    # the product route's.  Only such a large c can push a route's
+    # member beyond the float range.
+    if large and not np.isfinite(member).all():
+        raise NonFinite("the member has entries beyond the float range")
+    return member
 
 
 def family_contains(fam: SolutionFamily, g, tol: float | None = None) -> bool:

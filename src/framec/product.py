@@ -14,7 +14,7 @@ from ._complete import assemble_outcome, check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
 from .linalg import (Elimination, adjoint, as_matrix, eliminate_with_product,
-                     solve_min_norm)
+                     numerical_rank, solve_min_norm)
 
 
 def dual_from_A(p, a) -> np.ndarray:
@@ -39,7 +39,6 @@ def complete_via_product(f: Frame, pd: PartialDual,
     serves every prescription.  Different valid P give the same outcome
     up to reparametrization.
     """
-    check_partial(f, pd)
     if elimination is None:
         elimination = eliminate_with_product(adjoint(f.mat), tol=f.tol)
     p = elimination.P
@@ -52,12 +51,31 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
 
     top and bottom are P's first n and last k - n rows, for P @ F* =
     [I_n; 0]; the prescription asks top[:, idx] + A @ bottom[:, idx] = H.
+    The rows of bottom span ker F, so bottom[:, j] vanishes exactly when
+    frame vector j is independent of the others, and then every dual
+    shares column j.  A prescribed column of bottom within
+    eps * k * cond(F) of zero is that case when F without column j has
+    rank below n at numerical_rank's cutoff, the direct route's rank
+    rule; it is then zeroed in a copy, as its rounding would otherwise
+    count as rank of the solve.
     """
+    check_partial(f, pd)
     dtype = np.result_type(f.mat.dtype, pd.H.dtype, top.dtype)
     top = top.astype(dtype, copy=False)
     bottom = bottom.astype(dtype, copy=False)
     idx = list(pd.indices)
-    coef = adjoint(bottom[:, idx])
+    cols = bottom[:, idx]
+    # rounding leaves at most about eps * k * cond(F) at such a column,
+    # but a column of a dependent frame vector can be as small
+    cutoff = np.finfo(np.float64).eps * f.k * f.sigma[0] / f.sigma[-1]
+    small = ((cols * cols.conj()).real.sum(axis=0) <= cutoff ** 2).tolist()
+    pinned = [i for i, tiny in enumerate(small) if tiny and
+              numerical_rank(np.delete(f.mat, idx[i], axis=1)) < f.n]
+    if pinned:
+        cols[:, pinned] = 0
+        bottom = bottom.copy()
+        bottom[:, [idx[i] for i in pinned]] = 0
+    coef = adjoint(cols)
     rhs = adjoint(pd.H) - adjoint(top[:, idx])
     lin = solve_min_norm(coef, rhs, tol=f.tol)
     return assemble_outcome(f, pd, lin, coef, rhs,

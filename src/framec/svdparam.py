@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complete import check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
 from .linalg import SvdFactors, as_matrix, svd
@@ -52,15 +51,8 @@ def dual_from_X(dp: DualParam) -> np.ndarray:
 def complete_via_svd(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """Complete a partial dual in SVD coordinates.
 
-    Supplies the rows of P_svd to the product route's solve.  The
-    rounding-noise rule for V*_bl = V*[n:, idx] is its only own step.
+    Supplies the rows of P_svd to the product route's solve.
     """
-    check_partial(f, pd)
     fac = svd(f.mat)
-    n, vh = f.n, fac.vh
-    # V*_bl is a block of a unitary factor: a norm this small is rounding
-    idx = list(pd.indices)
-    if np.linalg.norm(vh[n:, idx]) <= np.finfo(np.float64).eps * f.k:
-        vh[n:, idx] = 0
-    top = fac.U @ (vh[:n] / fac.sigma[:, None])
-    return _complete_over_rows(f, pd, top, vh[n:])
+    top = fac.U @ (fac.vh[:f.n] / fac.sigma[:, None])
+    return _complete_over_rows(f, pd, top, fac.vh[f.n:])

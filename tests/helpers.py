@@ -27,6 +27,11 @@ H_HADAMARD = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 F_1234 = np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]])
 
+# The last three columns are collinear and the first is independent of
+# them, so every dual has the same first column (the canonical dual's).
+# Prescribing it alone leaves a family of dof 4.
+F_LONE = np.array([[2.1, 0.36, 1.44, -3.24], [2.8, -0.51, -2.04, 4.59]])
+
 
 def random_frame(rng, n=None, k=None, complex_field=False, n_max=4, k_max=8):
     """Random frame with entries uniform in [-2, 2] (per component)."""
@@ -85,6 +90,61 @@ def conditioned_instance(rng, n, k, s, cond, verdict, complex_field=False):
         e = _gauss(rng, h.shape, complex_field)
         h = h + e * (10 ** rng.uniform(3.0, 5.0) * fr.tol / np.linalg.norm(e))
     return fr, fc.PartialDual(h, idx)
+
+
+def aligned_instance(rng, n, k, r, pinned, extra, cond, complex_field=False,
+                     scale=1.0):
+    """(dof, frame, prescription) whose frame has r independent vectors.
+
+    F = U diag(sigma) V* as in conditioned_frame, sigma shuffled and times
+    scale, but r rows of V* are supported on r random positions and the
+    other n - r rows on the rest.  So every kernel direction of F vanishes
+    at those r positions, and every dual shares those columns.  H
+    prescribes `pinned` of them and `extra` of the others, from a dual
+    built as conditioned_instance builds one; the problem is completable,
+    with d = (k - s) - rank(F_free) direction rows.
+    """
+    u = np.linalg.qr(_gauss(rng, (n, n), complex_field))[0]
+    sigma = scale * rng.permutation(np.geomspace(1.0, 1.0 / cond, n))
+    pos = rng.permutation(k)
+    own, rest = pos[:r], pos[r:]
+    vh = np.zeros((n, k), dtype=u.dtype)
+    vh[:r, own] = np.linalg.qr(_gauss(rng, (r, r), complex_field))[0]
+    vh[r:, rest] = np.linalg.qr(_gauss(rng, (k - r, n - r),
+                                       complex_field))[0].T
+    fr = fc.make_frame(u @ (sigma[:, None] * vh))
+    z = _gauss(rng, (n, k), complex_field) / scale
+    g = u @ (vh / sigma[:, None]) + z - (z @ vh.conj().T) @ vh
+    idx = tuple(sorted(int(i) for i in np.concatenate(
+        [rng.choice(own, pinned, replace=False),
+         rng.choice(rest, extra, replace=False)])))
+    s = pinned + extra
+    d = (k - s) - (r - pinned) - min(n - r, k - r - extra)
+    return n * d, fr, fc.PartialDual(g[:, list(idx)], idx)
+
+
+def coupled_instance(rng, n, r, s, m, complex_field=False, max_cond=1e2):
+    """(dof, frame, prescription) for F = [A | X Y], all of A prescribed.
+
+    A is n x s, X n x r and Y r x m, Gaussian, with r < n < s + r and
+    r <= m, drawn until cond(F) <= max_cond.  The free columns X Y have
+    rank r, so H, taken from a dual of F, leaves d = m - r direction
+    rows.  At no position of A do all kernel directions of F vanish: the
+    rank that the prescription takes from the reduced system lies in no
+    coordinate.
+    """
+    while True:
+        f = np.hstack([_gauss(rng, (n, s), complex_field),
+                       _gauss(rng, (n, r), complex_field)
+                       @ _gauss(rng, (r, m), complex_field)])
+        sigma = np.linalg.svd(f, compute_uv=False)
+        if sigma[0] / sigma[-1] <= max_cond:
+            break
+    fr = fc.make_frame(f)
+    u, sigma, vh = np.linalg.svd(f, full_matrices=False)
+    z = _gauss(rng, f.shape, complex_field)
+    g = u @ (vh / sigma[:, None]) + z - (z @ vh.conj().T) @ vh
+    return n * (m - r), fr, fc.PartialDual(g[:, :s])
 
 
 KINDS = {"family": fc.Family, "unique": fc.Unique, "none": fc.NoCompletion}

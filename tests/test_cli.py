@@ -8,8 +8,8 @@ import pytest
 
 import framec as fc
 from framec import cli
-from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_SPARSE, F_WIDE,
-                     G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE)
+from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_LONE, F_SPARSE,
+                     F_WIDE, G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE)
 
 
 @pytest.fixture
@@ -344,6 +344,22 @@ class TestComplete:
         assert code == 0, err
         assert rep["status"] == "family"
         assert rep["dof"] == 3
+
+    def test_independent_vector_alone_frees_everything(self, files,
+                                                       capsys):
+        # the first vector of F_LONE is independent of the others: the
+        # product route's P holds rounding at that column, not zero
+        f = files("f.csv", F_LONE)
+        g = str(files.dir / "g.csv")
+        assert cli.run(["canonical", f, "--output", g]) == 0
+        h = files("h.csv", fc.read_matrix(g)[:, :1])
+        capsys.readouterr()
+        for method in ("all", "direct", "product", "svd"):
+            code, rep, err = run_json(
+                ["complete", f, h, "--indices", "1", "--method", method],
+                capsys)
+            assert code == 0, err
+            assert (rep["status"], rep["dof"]) == ("family", 4)
 
     def test_no_completion(self, files, capsys):
         code, rep, _ = run_json(

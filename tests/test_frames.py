@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,38 @@ def test_family_sample_takes_large_finite_coefficients():
     with pytest.warns(RuntimeWarning, match="overflow"):
         g = fc.family_sample(fam, [1e300, 0, 0, -1e300])
     assert np.isfinite(g).all()
+
+
+def test_family_sample_rejects_a_member_that_overflows():
+    # both direction rows are large at (0, 1) and sum to about 1.05
+    fam = _unconstrained_family()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(fc.NonFinite):
+            fc.family_sample(fam, [1.79e308, 0, 1.79e308, 0])
+
+
+def test_family_sample_takes_integers_beyond_int64():
+    fam = _unconstrained_family()
+    g = fc.family_sample(fam, [2 ** 64, 0, 0, -(2 ** 64)])
+    assert g.dtype == np.float64
+    assert np.array_equal(g, fc.family_sample(fam, [2.0 ** 64, 0, 0,
+                                                    -2.0 ** 64]))
+
+
+@pytest.mark.parametrize("c", [[Fraction(1, 3)] * 4,
+                               np.full(4, 0.25, dtype=np.longdouble),
+                               [1j, 10 ** 400, 0, 0]])
+def test_family_sample_rejects_numbers_of_other_types(c):
+    with pytest.raises(fc.BadShape):
+        fc.family_sample(_unconstrained_family(), c)
+
+
+def test_family_sample_rejects_integers_beyond_the_float_range():
+    fam = _unconstrained_family()
+    with pytest.raises(fc.NonFinite):
+        fc.family_sample(fam, [10 ** 400, 0, 0, 0])
+    with pytest.raises(fc.NonFinite):
+        fc.family_sample(fam, [1.5, 10 ** 400, 0, 0])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
