@@ -22,12 +22,15 @@ def as_matrix(a, allow_empty: bool = False) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != 2:
         raise BadShape(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.issubdtype(m.dtype, np.number):
-        raise BadShape(f"expected numeric entries, got dtype={m.dtype}")
-    if np.issubdtype(m.dtype, np.complexfloating):
+    # dtype kinds: c complex, i/u signed/unsigned integer, f float; bool,
+    # datetime, timedelta, object, bytes and str entries are refused
+    kind = m.dtype.kind
+    if kind == "c":
         m = m.astype(np.complex128)
-    else:
+    elif kind in "iuf":
         m = m.astype(np.float64)
+    else:
+        raise BadShape(f"expected numeric entries, got dtype={m.dtype}")
     if not allow_empty and min(m.shape) == 0:
         raise BadShape(f"matrix must be nonempty, got shape {m.shape}")
     if m.size and not np.isfinite(m).all():
@@ -149,6 +152,11 @@ def solve_min_norm(a, c, tol: float | None = None) -> LinSolve:
     The system counts as consistent when the residual is at most
     tol * max(1, ||C||_F).  A and C may have zero rows or columns; the
     empty system is consistent with solution zero.
+
+    A+ A projects onto A's row space, so its trace is A's rank at the
+    pseudoinverse's cutoff, up to rounding.  When that trace is within
+    1/4 of A's column count the kernel is empty and no second SVD is
+    taken; otherwise nullspace_basis computes it.
     """
     a = as_matrix(a, allow_empty=True)
     c = as_matrix(c, allow_empty=True)
@@ -158,11 +166,17 @@ def solve_min_norm(a, c, tol: float | None = None) -> LinSolve:
     if tol is None:
         tol = DEFAULT_TOL
     dtype = np.result_type(a.dtype, c.dtype)
-    solution = (pseudoinverse(a) @ c).astype(dtype)
+    pinv = pseudoinverse(a)
+    solution = (pinv @ c).astype(dtype)
     residual = float(np.linalg.norm(a @ solution - c))
     consistent = residual <= tol * max(1.0, float(np.linalg.norm(c)))
+    cols = a.shape[1]
+    if abs(np.einsum("ij,ji->", pinv, a).real - cols) < 0.25:
+        kernel = np.zeros((cols, 0), dtype=a.dtype)
+    else:
+        kernel = nullspace_basis(a)
     return LinSolve(solution=solution, residual=residual,
-                    nullspace=nullspace_basis(a), consistent=consistent)
+                    nullspace=kernel, consistent=consistent)
 
 
 @dataclass(frozen=True)
@@ -187,6 +201,12 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     operations that updating all k columns of P would, so P comes out
     the same.  P is not unique; callers must only rely on the residual
     contract.
+
+    fstar must have numerical rank n at tol.  The pivots settle that
+    without an SVD: P[:n] is a left inverse of fstar up to the residual,
+    so sigma_min(fstar) >= (1 - residual) / ||P[:n]||_F, and a bound
+    above 2 * tol proves the rank.  numerical_rank is taken only when a
+    pivot is at most tol or the bound does not clear 2 * tol.
     """
     fstar = as_matrix(fstar)
     k, n = fstar.shape
@@ -194,14 +214,13 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
         raise BadShape(f"expected rows >= cols, got {k} x {n}")
     if tol is None:
         tol = default_tol(fstar)
-    if numerical_rank(fstar, tol) < n:
-        raise RankDeficient(f"matrix has numerical rank < {n}")
     aug = np.zeros((k, 2 * n), dtype=fstar.dtype)
     aug[:, :n] = fstar
     order = np.arange(k)
     for col in range(n):
         piv = col + int(np.argmax(np.abs(aug[col:, col])))
         if abs(aug[piv, col]) <= tol:
+            _require_rank(fstar, tol)
             raise RankDeficient(f"no usable pivot in column {col}")
         if piv != col:
             row = aug[col].copy()
@@ -220,4 +239,14 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     target = np.zeros((k, n), dtype=fstar.dtype)
     target[:n, :n] = np.eye(n)
     residual = float(np.linalg.norm(p @ fstar - target))
+    # written so that a NaN bound also takes the rank check
+    if not (1.0 - residual > 2.0 * tol * float(np.linalg.norm(p[:n]))):
+        _require_rank(fstar, tol)
     return Elimination(P=p, residual=residual)
+
+
+def _require_rank(fstar: np.ndarray, tol: float) -> None:
+    """Raise RankDeficient unless the k x n fstar has numerical rank n."""
+    n = fstar.shape[1]
+    if numerical_rank(fstar, tol) < n:
+        raise RankDeficient(f"matrix has numerical rank < {n}")

@@ -117,25 +117,47 @@ def svd_calls(monkeypatch):
     return calls
 
 
-def test_no_completion_decide_takes_eleven_svds(svd_calls):
-    # per route: the reduced solve's pseudoinverse and kernel, and the
-    # certificate's augmented rank; product adds its rank check, svd the
-    # factorization of F; rank_free comes from the solve's kernel
+# per route: the reduced solve's pseudoinverse, and its kernel only when
+# the trace of A+ A leaves a kernel; the product route's elimination
+# takes none when its pivots certify the rank; svd adds the factorization
+# of F, the P-routes the rank test of a prescribed column of P's bottom
+# rows that is near zero, and a certificate its augmented rank
+def test_no_completion_decide_takes_ten_svds(svd_calls):
     fr = fc.make_frame(F_COLLINEAR)
     pd = fc.PartialDual(H_STUCK)
     svd_calls[0] = 0
     outs = three_route_decide(fr, pd)
     assert all(isinstance(o, fc.NoCompletion) for o in outs)
-    assert svd_calls[0] <= 11
+    assert svd_calls[0] <= 10
 
 
-def test_family_decide_takes_eight_svds(svd_calls):
+def test_family_decide_takes_seven_svds(svd_calls):
     fr = fc.make_frame(F_1234)
     pd = fc.PartialDual(np.array([[1.0], [0.0]]))
     svd_calls[0] = 0
     outs = three_route_decide(fr, pd)
     assert all(isinstance(o, fc.Family) for o in outs)
-    assert svd_calls[0] <= 8
+    assert svd_calls[0] <= 7
+
+
+def test_unique_decide_takes_six_svds(svd_calls):
+    fr = fc.make_frame(F_SPARSE)
+    pd = fc.PartialDual(H_TRIPLE)
+    svd_calls[0] = 0
+    outs = three_route_decide(fr, pd)
+    assert all(isinstance(o, fc.Unique) for o in outs)
+    assert svd_calls[0] <= 6
+
+
+@pytest.mark.parametrize("m", [F_1234, F_SPARSE,
+                               np.array([[1.0, 0, 1j, 0], [0, 1, 0, 1 + 1j]])],
+                         ids=["1234", "sparse", "complex"])
+def test_elimination_of_a_frame_takes_no_svd(svd_calls, m):
+    fr = fc.make_frame(m)
+    svd_calls[0] = 0
+    elim = fc.eliminate_with_product(fc.adjoint(fr.mat), tol=fr.tol)
+    assert elim.residual <= 1e-12
+    assert svd_calls[0] == 0
 
 
 # make_frame's one SVD gives a frame's rank, bounds and tightness, and

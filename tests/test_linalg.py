@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import framec as fc
+from framec.linalg import as_matrix
 from helpers import F_1234, F_COLLINEAR, F_SPARSE, exact_rank
 
 ATOL = 1e-10
@@ -245,6 +246,51 @@ def test_eliminate_errors():
         fc.eliminate_with_product(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("fstar", [[[1.0, 1], [1, 1]],
+                                   [[1.0, 1], [0, 1.3e-9]]],
+                         ids=["zero-pivot", "pivots-pass"])
+def test_eliminate_reports_the_rank(fstar):
+    # the second matrix's pivots 1 and 1.3e-9 both pass tol, but its
+    # sigma_min is 9.2e-10: only the rank check sees it
+    sigma_min = np.linalg.svd(np.array(fstar), compute_uv=False)[-1]
+    assert sigma_min < 1e-9
+    with pytest.raises(fc.RankDeficient,
+                       match=r"^matrix has numerical rank < 2$"):
+        fc.eliminate_with_product(fstar, tol=1e-9)
+
+
+def orthonormal_columns(rng, rows, cols, complex_field):
+    z = rng.standard_normal((rows, cols))
+    if complex_field:
+        z = z + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (5, 3), (12, 4)])
+@pytest.mark.parametrize("complex_field", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_eliminate_verdict_is_numerical_rank_at_tol(k, n, complex_field,
+                                                    factor):
+    # sigma_n just below and just above tol: the pivots cannot certify
+    # the rank there, and the verdict is numerical_rank's
+    rng = np.random.default_rng(41 + k)
+    tol = 1e-9
+    sigma = np.geomspace(1.0, factor * tol, n)
+    fstar = (orthonormal_columns(rng, k, n, complex_field) * sigma) @ \
+        orthonormal_columns(rng, n, n, complex_field).conj().T
+    assert np.iscomplexobj(fstar) == complex_field
+    full = fc.numerical_rank(fstar, tol) == n
+    assert full == (factor > 1)
+    if full:
+        elim = fc.eliminate_with_product(fstar, tol=tol)
+        assert elim.P.shape == (k, k)
+    else:
+        with pytest.raises(fc.RankDeficient,
+                           match=rf"^matrix has numerical rank < {n}$"):
+            fc.eliminate_with_product(fstar, tol=tol)
+
+
 def test_nullspace_basis_orthonormal():
     rng = np.random.default_rng(23)
     m = rng.standard_normal((2, 5))
@@ -252,3 +298,87 @@ def test_nullspace_basis_orthonormal():
     assert n.shape == (5, 3)
     assert np.linalg.norm(m @ n) <= 1e-12
     assert np.linalg.norm(n.conj().T @ n - np.eye(3)) <= 1e-12
+
+
+def assert_same_kernel(a):
+    """solve_min_norm's kernel is nullspace_basis's, bit for bit."""
+    lin = fc.solve_min_norm(a, np.zeros((np.shape(a)[0], 1)))
+    want = fc.nullspace_basis(a)
+    assert lin.nullspace.shape == want.shape
+    assert lin.nullspace.dtype == want.dtype
+    if want.size:
+        assert lin.nullspace.tobytes() == want.tobytes()
+
+
+def any_matrices(dtype, max_rows=6, max_cols=6):
+    """Small tall or wide matrices of finite entries."""
+    def draw(shape):
+        re = arrays(np.float64, shape, elements=finite_entries)
+        if dtype == np.float64:
+            return re
+        return st.tuples(re, re).map(lambda p: p[0] + 1j * p[1])
+    return st.tuples(st.integers(1, max_rows),
+                     st.integers(1, max_cols)).flatmap(draw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_matrices(np.float64))
+def test_solve_kernel_is_nullspace_basis_real(a):
+    assert_same_kernel(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_matrices(np.complex128))
+def test_solve_kernel_is_nullspace_basis_complex(a):
+    assert_same_kernel(a)
+
+
+def test_solve_kernel_is_nullspace_basis_rank_deficient():
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 7, 2))
+        inner = int(rng.integers(0, min(rows, cols)))
+        a = rng.integers(-3, 4, (rows, inner)) @ rng.integers(
+            -3, 4, (inner, cols))
+        assert exact_rank(a) < cols
+        assert_same_kernel(a)
+        assert fc.solve_min_norm(a.astype(float), np.zeros((rows, 1))
+                                 ).nullspace.shape[1] == cols - exact_rank(a)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0, 10.0])
+@pytest.mark.parametrize("rows, cols", [(3, 3), (7, 4), (4, 7), (12, 6)])
+@pytest.mark.parametrize("complex_field", [False, True],
+                         ids=["real", "complex"])
+def test_solve_kernel_at_the_rank_cutoff(factor, rows, cols, complex_field):
+    # smallest singular value at factor * max(rows, cols) * eps * sigma_max,
+    # where the two SVDs are most likely to count the rank differently
+    rng = np.random.default_rng(47 + rows + cols)
+    r = min(rows, cols)
+    sigma = np.geomspace(1.0, 1e-3, r)
+    sigma[-1] = factor * max(rows, cols) * np.finfo(np.float64).eps
+    for _ in range(10):
+        u = orthonormal_columns(rng, rows, r, complex_field)
+        v = orthonormal_columns(rng, cols, r, complex_field)
+        assert_same_kernel((u * sigma) @ v.conj().T)
+
+
+@pytest.mark.parametrize("dtype, want", [
+    (np.int8, np.float64), (np.uint64, np.float64), (np.float16, np.float64),
+    (np.longdouble, np.float64), (np.complex64, np.complex128),
+    (np.clongdouble, np.complex128)])
+def test_as_matrix_converts_numeric_entries(dtype, want):
+    m = as_matrix(np.array([[1, 0, 1], [0, 1, 1]], dtype=dtype))
+    assert m.dtype == want
+    assert np.array_equal(m, [[1, 0, 1], [0, 1, 1]])
+
+
+@pytest.mark.parametrize("dtype", [bool, "M8[s]", "m8[s]", object, str],
+                         ids=["bool", "datetime64", "timedelta64", "object",
+                              "str"])
+def test_as_matrix_refuses_other_entries(dtype):
+    m = np.array([[1, 0, 1], [0, 1, 1]]).astype(dtype)
+    with pytest.raises(fc.BadShape, match="expected numeric entries"):
+        as_matrix(m)
+    with pytest.raises(fc.BadShape, match="expected numeric entries"):
+        fc.make_frame(m)
