@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadShape, NonFinite, NotAFrame, NotZeroColumn
-from .linalg import adjoint, as_matrix, default_tol
+from .errors import BadShape, NonFinite, NotAFrame, NotDualPair, NotZeroColumn
+from .linalg import _checked_tol, adjoint, as_matrix, default_tol
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,6 @@ class Family:
 
 
 CompletionOutcome = NoCompletion | Unique | Family
-
-
-def _checked_tol(tol: float) -> float:
-    """tol itself; ValueError unless it is finite and positive."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    return tol
 
 
 def make_frame(m, tol: float | None = None) -> Frame:
@@ -369,7 +362,8 @@ def surgery_remove(f: Frame, g, positions) -> tuple[Frame, np.ndarray]:
     positions lists 0-based columns; each listed column of g must be
     numerically zero (NotZeroColumn otherwise), and the remaining
     columns of f must still span (NotAFrame otherwise).  Returns the
-    reduced (frame, dual) pair, still dual to each other.
+    reduced (frame, dual) pair, dual to each other within f.tol
+    (NotDualPair otherwise, as when g is no dual of f).
     """
     g = _as_dual(f, g)
     positions = _positions(positions, f.k)
@@ -377,4 +371,7 @@ def surgery_remove(f: Frame, g, positions) -> tuple[Frame, np.ndarray]:
         if np.linalg.norm(g[:, p]) > f.tol:
             raise NotZeroColumn(f"dual column {p} is not numerically zero")
     keep = np.delete(np.arange(f.k), positions)
-    return make_frame(f.mat[:, keep], tol=f.tol), g[:, keep]
+    reduced, g = make_frame(f.mat[:, keep], tol=f.tol), g[:, keep]
+    if not is_dual_pair(reduced, g):
+        raise NotDualPair("the reduced pair is not dual within tol")
+    return reduced, g

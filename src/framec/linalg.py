@@ -7,6 +7,7 @@ every routine rejects NaN/inf up front so the solvers never see them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,13 @@ def as_matrix(a, allow_empty: bool = False) -> np.ndarray:
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
+
+
+def _checked_tol(tol: float) -> float:
+    """tol itself; ValueError unless it is finite and positive."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
 
 
 def default_tol(m: np.ndarray) -> float:
@@ -96,16 +104,14 @@ def numerical_rank(m, tol: float | None = None) -> int:
     """Number of singular values above the cutoff.
 
     With tol=None the cutoff is the machine-precision rule of
-    _default_cutoff; an explicit tol is used as an absolute cutoff on
-    the singular values.
+    _default_cutoff; an explicit tol, which must be finite and positive
+    (ValueError otherwise), is used as an absolute cutoff on the
+    singular values.
     """
     m = as_matrix(m, allow_empty=True)
-    if min(m.shape) == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if tol is None:
-        tol = _default_cutoff(s, m.shape)
-    return int(np.count_nonzero(s > tol))
+    s = np.linalg.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
+    cutoff = _default_cutoff(s, m.shape) if tol is None else _checked_tol(tol)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def pseudoinverse(m) -> np.ndarray:
@@ -150,8 +156,10 @@ def solve_min_norm(a, c, tol: float | None = None) -> LinSolve:
     """Minimum-norm least-squares solution of A X = C with consistency verdict.
 
     The system counts as consistent when the residual is at most
-    tol * max(1, ||C||_F).  A and C may have zero rows or columns; the
-    empty system is consistent with solution zero.
+    tol * max(1, ||C||_F), with tol DEFAULT_TOL unless given; a given
+    tol must be finite and positive (ValueError otherwise).  A and C may
+    have zero rows or columns; the empty system is consistent with
+    solution zero.
 
     A+ A projects onto A's row space, so its trace is A's rank at the
     pseudoinverse's cutoff, up to rounding.  When that trace is within
@@ -163,8 +171,7 @@ def solve_min_norm(a, c, tol: float | None = None) -> LinSolve:
     if a.shape[0] != c.shape[0]:
         raise DimensionMismatch(
             f"A has {a.shape[0]} rows but C has {c.shape[0]}")
-    if tol is None:
-        tol = DEFAULT_TOL
+    tol = DEFAULT_TOL if tol is None else _checked_tol(tol)
     dtype = np.result_type(a.dtype, c.dtype)
     pinv = pseudoinverse(a)
     solution = (pinv @ c).astype(dtype)
@@ -202,25 +209,31 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     the same.  P is not unique; callers must only rely on the residual
     contract.
 
-    fstar must have numerical rank n at tol.  The pivots settle that
-    without an SVD: P[:n] is a left inverse of fstar up to the residual,
-    so sigma_min(fstar) >= (1 - residual) / ||P[:n]||_F, and a bound
-    above 2 * tol proves the rank.  numerical_rank is taken only when a
-    pivot is at most tol or the bound does not clear 2 * tol.
+    fstar must have numerical rank n at tol, which must be finite and
+    positive (ValueError otherwise).  The pivots settle that without an
+    SVD: P[:n] is a left inverse of fstar up to the residual, so
+    sigma_min(fstar) >= (1 - residual) / ||P[:n]||_F, and a bound above
+    2 * tol proves the rank.  numerical_rank is taken, once, only when a
+    pivot is at most tol or the bound does not clear 2 * tol.  A pivot
+    at most tol is used when the rank is n; an exactly zero one raises
+    RankDeficient all the same, as does a P that is not finite.
     """
     fstar = as_matrix(fstar)
     k, n = fstar.shape
     if k < n:
         raise BadShape(f"expected rows >= cols, got {k} x {n}")
-    if tol is None:
-        tol = default_tol(fstar)
+    tol = default_tol(fstar) if tol is None else _checked_tol(tol)
     aug = np.zeros((k, 2 * n), dtype=fstar.dtype)
     aug[:, :n] = fstar
     order = np.arange(k)
+    rank_checked = False
     for col in range(n):
         piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) <= tol:
+        pivot = abs(aug[piv, col])
+        if pivot <= tol and not rank_checked:
             _require_rank(fstar, tol)
+            rank_checked = True
+        if pivot == 0:
             raise RankDeficient(f"no usable pivot in column {col}")
         if piv != col:
             row = aug[col].copy()
@@ -239,8 +252,10 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     target = np.zeros((k, n), dtype=fstar.dtype)
     target[:n, :n] = np.eye(n)
     residual = float(np.linalg.norm(p @ fstar - target))
-    # written so that a NaN bound also takes the rank check
-    if not (1.0 - residual > 2.0 * tol * float(np.linalg.norm(p[:n]))):
+    if not math.isfinite(residual):
+        raise RankDeficient("P has entries beyond the float range")
+    if not (rank_checked
+            or 1.0 - residual > 2.0 * tol * float(np.linalg.norm(p[:n]))):
         _require_rank(fstar, tol)
     return Elimination(P=p, residual=residual)
 

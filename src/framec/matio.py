@@ -19,13 +19,9 @@ from .errors import MixedField, NonFinite, ParseError
 from .linalg import as_matrix
 
 
-def _infer_format(path: str, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise ParseError(f"unknown matrix format {fmt!r}")
-        return fmt
-    ext = os.path.splitext(path)[1].lower()
-    return "json" if ext == ".json" else "csv"
+def _is_json(path: str) -> bool:
+    """A .json name means JSON; any other name means CSV."""
+    return os.path.splitext(path)[1].lower() == ".json"
 
 
 def _parse_csv(text: str) -> np.ndarray:
@@ -152,23 +148,21 @@ def _basis_json(w, n: int) -> str:
                            for text in texts for row in range(n)) + "]"
 
 
-def read_matrix(path: str, fmt: str | None = None) -> np.ndarray:
-    """Read a matrix file; format inferred from the extension by default."""
-    fmt = _infer_format(path, fmt)
+def read_matrix(path: str) -> np.ndarray:
+    """Read a matrix file: JSON when the name ends in .json, else CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8 text: {exc}") from None
-    m = _parse_csv(text) if fmt == "csv" else _parse_json(text)
+    m = _parse_json(text) if _is_json(path) else _parse_csv(text)
     return as_matrix(m)
 
 
-def write_matrix(m, path: str, fmt: str | None = None) -> None:
-    """Write a matrix file; complex data is JSON-only."""
+def write_matrix(m, path: str) -> None:
+    """Write a matrix file as read_matrix reads it; complex is JSON-only."""
     m = as_matrix(m)
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
+    if not _is_json(path):
         if np.iscomplexobj(m):
             raise MixedField("complex matrix cannot be written as CSV")
         text = "\n".join(",".join(repr(float(e)) for e in row) for row in m)

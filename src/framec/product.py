@@ -13,7 +13,7 @@ import numpy as np
 from ._complete import assemble_outcome, check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
-from .linalg import (Elimination, adjoint, as_matrix, eliminate_with_product,
+from .linalg import (adjoint, as_matrix, eliminate_with_product,
                      numerical_rank, solve_min_norm)
 
 
@@ -30,18 +30,13 @@ def dual_from_A(p, a) -> np.ndarray:
     return p[:n, :] + a @ p[n:, :]
 
 
-def complete_via_product(f: Frame, pd: PartialDual,
-                         elimination: Elimination | None = None
-                         ) -> CompletionOutcome:
+def complete_via_product(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """Complete a partial dual via the product parametrization.
 
-    An explicit elimination can be supplied: any P with P @ F* = [I_n; 0]
-    serves every prescription.  Different valid P give the same outcome
-    up to reparametrization.
+    P comes from eliminating F* in the frame's own column order, so one
+    P serves every prescription.
     """
-    if elimination is None:
-        elimination = eliminate_with_product(adjoint(f.mat), tol=f.tol)
-    p = elimination.P
+    p = eliminate_with_product(adjoint(f.mat), tol=f.tol).P
     return _complete_over_rows(f, pd, p[:f.n], p[f.n:])
 
 

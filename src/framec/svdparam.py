@@ -20,10 +20,9 @@ from .product import _complete_over_rows
 
 @dataclass(frozen=True)
 class DualParam:
-    """A dual of F in SVD coordinates: G = U [diag(sigma_inv) X] V*."""
+    """A dual of F in SVD coordinates: G = U [Sigma^{-1} X] V*."""
 
     factors: SvdFactors
-    sigma_inv: np.ndarray
     X: np.ndarray
 
 
@@ -33,18 +32,16 @@ def dual_param(f: Frame, x) -> DualParam:
     x = as_matrix(x, allow_empty=True)
     if x.shape != (f.n, f.k - f.n):
         raise BadShape(f"X must be {f.n} x {f.k - f.n}, got {x.shape}")
-    return DualParam(factors=factors, sigma_inv=1.0 / factors.sigma, X=x)
+    return DualParam(factors=factors, X=x)
 
 
 def dual_from_X(dp: DualParam) -> np.ndarray:
     """Realize the dual G = U [Sigma^{-1} X] V*."""
     n = dp.factors.sigma.shape[0]
     k = dp.factors.vh.shape[0]
-    if dp.sigma_inv.shape != (n,):
-        raise BadShape(f"sigma_inv must have length {n}")
     if dp.X.shape != (n, k - n):
         raise BadShape(f"X must be {n} x {k - n}, got {dp.X.shape}")
-    mg = np.hstack([np.diag(dp.sigma_inv).astype(dp.X.dtype), dp.X])
+    mg = np.hstack([np.diag(1.0 / dp.factors.sigma).astype(dp.X.dtype), dp.X])
     return dp.factors.U @ mg @ dp.factors.vh
 
 

@@ -14,11 +14,11 @@ from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_LONE, F_SPARSE,
 
 @pytest.fixture
 def files(tmp_path):
-    def put(name, m, fmt=None):
+    def put(name, m):
         path = tmp_path / name
         fc.write_matrix(np.asarray(m, dtype=complex)
                         if np.iscomplexobj(m) else np.asarray(m, dtype=float),
-                        str(path), fmt=fmt)
+                        str(path))
         return str(path)
     put.dir = tmp_path
     return put
@@ -246,6 +246,21 @@ class TestComplete:
         assert rep["dof"] == 2
         assert len(rep["basis"]) == 2
         assert rep["residual"] <= 1e-9
+
+    def test_pivot_below_tol_on_a_frame(self, files, capsys):
+        # sigma_min = 1.8e-9 clears tol 1e-9; the product route's second
+        # pivot, 9e-10, does not
+        eps = 9e-10
+        f = files("f.csv", [[1.0, 0, 0, 0, 0], [0, eps, eps, eps, eps]])
+        h = files("h.csv", [[1.0], [0.0]])
+        code, rep, _ = run_json(["complete", f, h], capsys)
+        assert code == 0
+        assert (rep["status"], rep["dof"]) == ("family", 6)
+        out = str(files.dir / "g.csv")
+        assert cli.run(["complete", f, h, "--method", "product",
+                        "--output", out]) == 0
+        assert cli.run(["verify", f, out]) == 0
+        capsys.readouterr()
 
     def test_report_is_compact_and_exact(self, files, capsys):
         cli.run(["complete", files("f.csv", F_1234),
@@ -686,8 +701,10 @@ class TestSample:
         lambda rep: rep.update(dof=2.5),
         lambda rep: rep.update(dof=True, basis=rep["basis"][:1]),
         lambda rep: rep.update(basis=5),
+        lambda rep: rep["basis"].__setitem__(
+            0, {"rows": 1, "cols": 1, "data": [0.0]}),
     ], ids=["no-dual", "non-integer-dof", "float-dof", "bool-dof",
-            "non-list-basis"])
+            "non-list-basis", "basis-shape"])
     def test_malformed_family_report_is_usage_error(self, files, capsys,
                                                     edit):
         rep = json.loads(open(self.complete_family(files, capsys)).read())

@@ -164,6 +164,15 @@ def test_partial_dual_rejects_non_integral_positions():
     assert fc.PartialDual(h, (np.int64(1),)).indices == (1,)
 
 
+def test_partial_dual_shape_errors():
+    with pytest.raises(fc.BadShape, match="at least one row"):
+        fc.PartialDual(np.zeros((0, 2)))
+    pd = fc.PartialDual([[1.0, 2], [3, 4]], (0, 2))
+    assert np.array_equal(pd.scaled([2.0, 0.0]).H, [[2.0, 0], [6, 0]])
+    with pytest.raises(fc.BadShape, match="weights of shape"):
+        pd.scaled([1.0, 2, 3])
+
+
 def test_family_sample_and_contains_roundtrip():
     fr = fc.make_frame(F_1234)
     out = fc.complete_direct(fr, fc.PartialDual(np.zeros((2, 0))))
@@ -298,6 +307,25 @@ def test_surgery_remove_noop_and_errors():
         fc.surgery_remove(fr, fc.canonical_dual(fr), [0])
     with pytest.raises(fc.BadShape):
         fc.surgery_remove(fr, member, [0, 0])
+
+
+def test_surgery_remove_rejects_positions_beyond_the_frame():
+    fr = fc.make_frame(F_1234)
+    member = ex0dual_member(0.0, 0.0, 0.7, -0.3)
+    with pytest.raises(fc.BadShape, match="must lie in"):
+        fc.surgery_remove(fr, member, [4])
+
+
+def test_surgery_remove_refuses_a_pair_that_is_not_dual():
+    # g has a zero column 2 but is no dual of F: the reduced pair is not
+    # dual either (residual 8.3), so nothing is returned
+    fr = fc.make_frame([[1.0, 0, 1, 2], [0, 1, 1, -1]])
+    g = np.array([[5.0, 0, 0, 1], [0, 7, 0, 2]])
+    with pytest.raises(fc.NotDualPair):
+        fc.surgery_remove(fr, g, (2,))
+    # the rank check still comes first
+    with pytest.raises(fc.NotAFrame):
+        fc.surgery_remove(fr, np.zeros((2, 4)), (0, 1, 2))
 
 
 def test_surgery_remove_rejects_non_integral_positions():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -71,6 +73,8 @@ def test_svd_rejects_tall_and_nonfinite():
 
 def test_numerical_rank_basic():
     assert fc.numerical_rank(np.zeros((2, 3))) == 0
+    assert fc.numerical_rank(np.zeros((0, 3))) == 0
+    assert fc.numerical_rank(np.zeros((2, 0)), 1e-9) == 0
     assert fc.numerical_rank([[-1.0, -2], [-2, -4]]) == 1
     assert fc.numerical_rank(np.eye(4)) == 4
 
@@ -257,6 +261,58 @@ def test_eliminate_reports_the_rank(fstar):
     with pytest.raises(fc.RankDeficient,
                        match=r"^matrix has numerical rank < 2$"):
         fc.eliminate_with_product(fstar, tol=1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.9e-9, 0.6e-9, 0.51e-9])
+def test_eliminate_uses_a_small_pivot_when_the_rank_is_full(eps):
+    # pivot eps is below tol, but sigma_min = 2 eps is above it
+    fstar = np.array([[1.0, 0], [0, eps], [0, eps], [0, eps], [0, eps]])
+    assert fc.numerical_rank(fstar, 1e-9) == 2
+    elim = fc.eliminate_with_product(fstar, tol=1e-9)
+    assert np.isfinite(elim.P).all()
+    assert elim.residual <= 1e-12
+
+
+@pytest.mark.parametrize("fstar", [[[1.0, 1], [1, 1]],
+                                   [[1.0, 2], [3, 6], [1, 2]]],
+                         ids=["square", "tall"])
+def test_eliminate_raises_at_a_zero_pivot_whatever_the_tol(fstar):
+    # at tol 1e-20 the SVD's rounding (sigma_2 about 3e-17) passes the
+    # rank check, and dividing by the zero pivot would leave P non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fc.RankDeficient):
+            fc.eliminate_with_product(fstar, tol=1e-20)
+
+
+def test_eliminate_never_returns_a_non_finite_p():
+    # the pivot 1e-320 clears the subnormal tol, but its reciprocal is inf
+    with np.errstate(all="ignore"):
+        with pytest.raises(fc.RankDeficient, match="float range"):
+            fc.eliminate_with_product([[1e-320], [0.0]], tol=1e-321)
+
+
+BAD_TOLS = [0.0, -1.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=["zero", "negative", "nan",
+                                               "inf"])
+@pytest.mark.parametrize("call", [
+    lambda tol: fc.eliminate_with_product([[1.0, 1], [1, 1], [0, 0]], tol),
+    lambda tol: fc.numerical_rank([[1.0, 1], [1, 1]], tol),
+    lambda tol: fc.solve_min_norm(np.eye(2), [[1.0], [1]], tol),
+], ids=["eliminate", "rank", "solve"])
+def test_primitives_refuse_a_tol_that_is_not_finite_and_positive(call, tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        call(tol)
+
+
+def test_as_matrix_shape_errors():
+    with pytest.raises(fc.BadShape, match="2-D"):
+        as_matrix(np.zeros(3))
+    with pytest.raises(fc.BadShape, match="nonempty"):
+        as_matrix(np.zeros((2, 0)))
+    assert as_matrix(np.zeros((2, 0)), allow_empty=True).shape == (2, 0)
 
 
 def orthonormal_columns(rng, rows, cols, complex_field):

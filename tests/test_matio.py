@@ -35,13 +35,11 @@ def test_format_inference_and_override(tmp_path):
     path = tmp_path / "m.txt"
     fc.write_matrix(m, str(path))  # no .json extension, defaults to csv
     assert np.array_equal(fc.read_matrix(str(path)), m)
-    jpath = tmp_path / "j.dat"
-    fc.write_matrix(m, str(jpath), fmt="json")
-    with pytest.raises(fc.ParseError):
-        fc.read_matrix(str(jpath))  # csv parser sees a JSON object
-    assert np.array_equal(fc.read_matrix(str(jpath), fmt="json"), m)
-    with pytest.raises(fc.ParseError):
-        fc.read_matrix(str(path), fmt="tsv")
+    # the name alone decides, so a file cannot contradict it
+    with pytest.raises(TypeError):
+        fc.write_matrix(m, str(tmp_path / "j.dat"), fmt="json")
+    with pytest.raises(TypeError):
+        fc.read_matrix(str(path), fmt="json")
 
 
 def test_csv_rejections(tmp_path):

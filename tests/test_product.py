@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import framec as fc
+from framec.product import _complete_over_rows
 from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_SPARSE, F_WIDE,
                      G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE, ROUTES,
                      conditioned_frame, random_dual, random_frame,
@@ -86,12 +87,11 @@ class TestCompleteViaProduct:
         for a, b in [(0.0, 0.0), (1.0, 1.5), (-2.0, 7.0)]:
             assert fc.family_contains(fam, wide_family_member(a, b))
 
-    def test_explicit_elimination_accepted(self):
+    def test_the_route_takes_no_elimination(self):
         fr = fc.make_frame(F_1234)
-        elim = fc.Elimination(P_1234, 0.0)
-        out = fc.complete_via_product(fr, fc.PartialDual(np.zeros((2, 0))),
-                                      elimination=elim)
-        assert out.family.dof == 4
+        with pytest.raises(TypeError):
+            fc.complete_via_product(fr, fc.PartialDual(np.zeros((2, 0))),
+                                    elimination=fc.Elimination(P_1234, 0.0))
 
     def test_verdict_invariant_under_elimination_choice(self):
         # left-multiplying by [[I, B], [0, M]] yields another valid reduction
@@ -106,11 +106,9 @@ class TestCompleteViaProduct:
             mix[n:, n:] = np.linalg.qr(rng.uniform(-2, 2,
                                                    (k - n, k - n)))[0]
             p2 = mix @ P_WIDE_ELIM.P
-            residual = np.linalg.norm(
-                p2 @ fr.mat.conj().T - np.eye(k)[:, :n])
-            alt = fc.complete_via_product(fr, pd,
-                                          elimination=fc.Elimination(p2,
-                                                                     residual))
+            assert np.linalg.norm(
+                p2 @ fr.mat.conj().T - np.eye(k)[:, :n]) <= 1e-10
+            alt = _complete_over_rows(fr, pd, p2[:n], p2[n:])
             assert isinstance(alt, fc.Family)
             assert alt.family.dof == base.family.dof
             g = fc.family_sample(alt.family, rng.uniform(-1, 1,
@@ -142,9 +140,9 @@ class TestRankZeroShortcut:
         self.fr = fc.make_frame(F_SPARSE)
 
     def test_blocks_qualify(self):
-        perm = [1, 2, 0, 3]
-        elim = fc.eliminate_with_product(fc.adjoint(self.fr.mat[:, perm]))
-        assert np.linalg.norm(elim.P[3:, :2]) <= 1e-12
+        # the route's own P: its bottom rows vanish at positions 1 and 2
+        elim = fc.eliminate_with_product(fc.adjoint(self.fr.mat))
+        assert np.linalg.norm(elim.P[self.fr.n:, [1, 2]]) <= 1e-12
 
     def test_consistent_prescription_frees_everything(self):
         # every dual of this frame carries e2 and e3 at those positions
@@ -320,14 +318,12 @@ def test_elimination_is_the_dense_loop_bit_for_bit(k, n, cond,
     noise = rng.standard_normal(g.shape)
     kinds = []
     # one P of the frame in its own column order serves every prescription
-    dense = fc.Elimination(p, float(np.linalg.norm(p @ fstar - target)))
     for s, eps in ((n, 0.0), (k - n, 0.0), (k - n + 1, 1e-3)):
         idx = tuple(sorted(rng.choice(k, size=s, replace=False).tolist()))
         h = g[:, list(idx)] + eps * noise[:, :s]
         pd = fc.PartialDual(h, idx)
         out = fc.complete_via_product(fr, pd)
-        assert_same_outcome(out, fc.complete_via_product(fr, pd,
-                                                         elimination=dense))
+        assert_same_outcome(out, _complete_over_rows(fr, pd, p[:n], p[n:]))
         kinds.append(type(out))
     assert kinds == [fc.Family, fc.Unique, fc.NoCompletion]
 
@@ -350,5 +346,24 @@ def test_one_elimination_serves_every_prescription(complex_field):
         pd = fc.PartialDual(h, idx)
         out = fc.complete_via_product(fr, pd)
         assert isinstance(out, kind)
-        assert_same_outcome(out, fc.complete_via_product(fr, pd,
-                                                         elimination=elim))
+        assert_same_outcome(out, _complete_over_rows(fr, pd, elim.P[:fr.n],
+                                                     elim.P[fr.n:]))
+
+
+@pytest.mark.parametrize("eps", [0.9e-9, 0.6e-9, 0.51e-9])
+def test_routes_agree_when_a_pivot_is_below_tol(eps):
+    # sigma = [1, 2 eps] clears tol 1e-9, but the product route's second
+    # pivot eps does not: it must take the rank check, not raise
+    fr = fc.make_frame([[1.0, 0, 0, 0, 0], [0, eps, eps, eps, eps]])
+    assert fr.tol == 1e-9
+    g = fc.canonical_dual(fr)
+    for idx, dof in (((), 6), ((0,), 6), ((1, 2), 2)):
+        pd = fc.PartialDual(g[:, list(idx)], idx)
+        for route in ROUTES:
+            out = route(fr, pd)
+            assert isinstance(out, fc.Family)
+            assert out.family.dof == dof
+            g_route = out.family.particular
+            assert fc.is_dual_pair(fr, g_route)
+            assert np.linalg.norm(g_route[:, list(idx)] - pd.H) \
+                <= fr.tol * max(1.0, np.linalg.norm(pd.H))

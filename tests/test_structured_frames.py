@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 import framec as fc
+from framec.product import _complete_over_rows
 from helpers import F_LONE, ROUTES, aligned_instance, coupled_instance
 
 SCALES = [1e-3, 1.0, 1e3]
@@ -132,7 +133,7 @@ def test_the_rule_leaves_the_callers_p_as_it_was():
     # column 0 of P's bottom rows is rounding, not zero
     assert elim.P[fr.n:, 0].any()
     h = fc.canonical_dual(fr)[:, :1]
-    out = fc.complete_via_product(fr, fc.PartialDual(h, (0,)),
-                                  elimination=elim)
+    out = _complete_over_rows(fr, fc.PartialDual(h, (0,)), elim.P[:fr.n],
+                              elim.P[fr.n:])
     assert out.family.dof == 4
     assert np.array_equal(elim.P, before)

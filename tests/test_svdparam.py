@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import framec as fc
+from framec.product import _complete_over_rows
 from helpers import (F_COLLINEAR, F_SPARSE, F_WIDE, G_TRIPLE, H_STUCK,
                      H_TRIPLE, H_WIDE, ROUTES, random_dual, random_frame,
                      random_partial)
@@ -56,16 +58,20 @@ class TestDualFromX:
         for s, t, w in itertools.product((-1.0, 0.0, 2.5), repeat=3):
             assert fc.dual_residual(fr, sparse_dual(s, t, w)) <= 1e-12
 
-    def test_sigma_inverse_matches_factors(self):
-        fr = fc.make_frame(F_SPARSE)
-        dp = fc.dual_param(fr, np.zeros((3, 1)))
-        assert np.allclose(np.sort(1 / dp.sigma_inv)[::-1],
-                           [np.sqrt(5), 1, 1])
-
     def test_bad_choice_shape(self):
         fr = fc.make_frame(F_SPARSE)
         with pytest.raises(fc.BadShape):
             fc.dual_param(fr, np.zeros((3, 2)))
+
+    def test_realize_checks_x_against_the_factors(self):
+        dp = fc.dual_param(fc.make_frame(F_SPARSE), np.zeros((3, 1)))
+        with pytest.raises(fc.BadShape, match="X must be 3 x 1"):
+            fc.dual_from_X(dataclasses.replace(dp, X=np.zeros((3, 2))))
+
+    def test_sigma_comes_only_from_the_factors(self):
+        # no stored copy of 1/sigma can contradict the factors
+        assert [f.name for f in dataclasses.fields(fc.DualParam)] \
+            == ["factors", "X"]
 
 
 class TestCompleteViaSvd:
@@ -194,7 +200,8 @@ class TestSvdIsProductRoute:
                                     from_dual=random_dual(rng, fr))
             elim = svd_elimination(fr)
             assert elim.residual <= 1e-10
-            via_p = fc.complete_via_product(fr, pd, elimination=elim)
+            via_p = _complete_over_rows(fr, pd, elim.P[:fr.n],
+                                        elim.P[fr.n:])
             via_svd = fc.complete_via_svd(fr, pd)
             assert type(via_p) is type(via_svd)
             assert type(via_svd).__name__ == {
