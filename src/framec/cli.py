@@ -16,6 +16,7 @@ variable supplies a default tolerance; --tol overrides it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -25,8 +26,9 @@ import numpy as np
 
 from .direct import Weights, complete_direct, solve_weights
 from .errors import BadShape, FramecError, NotAFamily, NotAFrame
-from .frames import (Family, Frame, PartialDual, Unique, canonical_dual,
-                     dual_residual, frame_bounds, is_tight, make_frame)
+from .frames import (Family, Frame, NoCompletion, PartialDual, Unique,
+                     canonical_dual, dual_residual, frame_bounds, is_tight,
+                     make_frame)
 from .matio import (_basis_json, matrix_from_jsonable, matrix_to_jsonable,
                     read_matrix, write_matrix)
 from .product import complete_via_product
@@ -168,47 +170,42 @@ def _parse_indices(spec: str, k: int) -> tuple:
 
 
 def _check_agreement(outcomes: dict) -> None:
+    """Compare every outcome with the first; one outcome always passes."""
     kinds = {name: type(out).__name__ for name, out in outcomes.items()}
     if len(set(kinds.values())) > 1:
         raise _Disagreement(f"method verdicts differ: {kinds}")
-    first = outcomes["direct"]
+    ref, first = next(iter(outcomes.items()))
     if isinstance(first, Unique):
         for name, out in outcomes.items():
             gap = float(np.linalg.norm(out.G - first.G))
             if gap > 1e-8 * max(1.0, float(np.linalg.norm(first.G))):
                 raise _Disagreement(
-                    f"unique duals differ: direct vs {name}, gap {gap:g}")
+                    f"unique duals differ: {ref} vs {name}, gap {gap:g}")
     elif isinstance(first, Family):
         dofs = {name: out.family.dof for name, out in outcomes.items()}
         if len(set(dofs.values())) > 1:
             raise _Disagreement(f"family dof differ: {dofs}")
 
 
-def _report(outcome, method: str, fr: Frame, weights, notes: list) -> dict:
+def _report(outcome, method: str, fr: Frame, weights, notes: list):
+    """The report of outcome, and the dual it states (None if none)."""
     rep = {"method": method, "errata_notes": list(notes)}
     if weights is not None:
         rep["weights"] = list(weights.w)
-    if isinstance(outcome, Unique):
-        rep["status"] = "unique"
-        rep["dual"] = matrix_to_jsonable(outcome.G)
-        rep["residual"] = dual_residual(fr, outcome.G)
-    elif isinstance(outcome, Family):
-        fam = outcome.family
-        rep["status"] = "family"
-        rep["dual"] = matrix_to_jsonable(fam.particular)
-        rep["basis"] = _JsonText(_basis_json(fam.directions, fr.n))
-        rep["dof"] = fam.dof
-        rep["residual"] = dual_residual(fr, fam.particular)
-    else:
-        cert = outcome.certificate
+    if isinstance(outcome, NoCompletion):
         rep["status"] = "none"
-        rep["certificate"] = {
-            "rank_free": cert.rank_free,
-            "rank_augmented": cert.rank_augmented,
-            "projector_residual": cert.projector_residual,
-        }
-        rep["residual"] = cert.projector_residual
-    return rep
+        rep["certificate"] = dataclasses.asdict(outcome.certificate)
+        rep["residual"] = outcome.certificate.projector_residual
+        return rep, None
+    family = isinstance(outcome, Family)
+    dual = outcome.family.particular if family else outcome.G
+    rep["status"] = "family" if family else "unique"
+    rep["dual"] = matrix_to_jsonable(dual)
+    if family:
+        rep["basis"] = _JsonText(_basis_json(outcome.family.directions, fr.n))
+        rep["dof"] = outcome.family.dof
+    rep["residual"] = dual_residual(fr, dual)
+    return rep, dual
 
 
 def cmd_complete(args) -> int:
@@ -249,21 +246,17 @@ def cmd_complete(args) -> int:
     # looked up per call, so a replaced module attribute takes effect
     routes = {"direct": complete_direct, "product": complete_via_product,
               "svd": complete_via_svd}
-    if args.method == "all":
-        outcomes = {name: route(fr, pd) for name, route in routes.items()}
-        _check_agreement(outcomes)
-        chosen = outcomes["direct"]
-    else:
-        chosen = routes[args.method](fr, pd)
+    names = list(routes) if args.method == "all" else [args.method]
+    outcomes = {name: routes[name](fr, pd) for name in names}
+    _check_agreement(outcomes)
+    chosen = outcomes[names[0]]
 
-    rep = _report(chosen, args.method, fr, weights, notes)
+    rep, dual = _report(chosen, args.method, fr, weights, notes)
     # written first, so that a failed write prints no success report
-    if args.output and isinstance(chosen, Unique):
-        write_matrix(chosen.G, args.output)
-    elif args.output and isinstance(chosen, Family):
-        write_matrix(chosen.family.particular, args.output)
+    if args.output and dual is not None:
+        write_matrix(dual, args.output)
     _emit(rep)
-    return 0 if rep["status"] in ("unique", "family") else 2
+    return 0 if dual is not None else 2
 
 
 def cmd_sample(args) -> int:

@@ -418,6 +418,24 @@ class TestComplete:
         assert code == 4
         assert "disagreement" in capsys.readouterr().err
 
+    def test_a_single_method_answers_alone(self, files, capsys, monkeypatch):
+        # the replaced svd route would disagree, but only direct runs
+        monkeypatch.setattr(
+            cli, "complete_via_svd",
+            lambda fr, pd: fc.Unique(np.zeros((fr.n, fr.k))))
+        code, rep, err = run_json(
+            ["complete", files("f.csv", F_SPARSE), files("h.csv", H_TRIPLE),
+             "--indices", "1,2", "--method", "direct"], capsys)
+        assert (code, err) == (0, "")
+        assert (rep["method"], rep["status"]) == ("direct", "unique")
+
+    def test_more_columns_than_frame_vectors(self, files, capsys):
+        code = cli.run(["complete", files("f.csv", F_SPARSE),
+                        files("h.csv", np.ones((3, 5)))])
+        out = capsys.readouterr()
+        assert (code, out.out) == (1, "")
+        assert "5 prescribed columns but the frame has 4 vectors" in out.err
+
     def test_verdict_disagreement_names_the_verdicts(self, files, capsys,
                                                      monkeypatch):
         monkeypatch.setattr(

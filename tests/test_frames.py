@@ -5,8 +5,8 @@ import pytest
 
 import framec as fc
 from framec.linalg import default_tol
-from helpers import (F_1234, F_SPARSE, conditioned_frame, random_dual,
-                     random_frame)
+from helpers import (F_1234, F_SPARSE, ROUTES, conditioned_frame,
+                     random_dual, random_frame)
 
 F_EX31 = np.array([[1.0, 2, 1, -1, 1], [1, 1, 0, 1, 2]])
 F_TIGHT = np.array([[1.0, 1, 0, 0], [0, 0, 1, 1]])
@@ -171,6 +171,14 @@ def test_partial_dual_shape_errors():
     assert np.array_equal(pd.scaled([2.0, 0.0]).H, [[2.0, 0], [6, 0]])
     with pytest.raises(fc.BadShape, match="weights of shape"):
         pd.scaled([1.0, 2, 3])
+
+
+@pytest.mark.parametrize("solve", [*ROUTES, fc.solve_weights],
+                         ids=lambda f: f.__name__)
+def test_more_prescribed_columns_than_frame_vectors(solve):
+    with pytest.raises(fc.BadShape, match="^5 prescribed columns but the "
+                                          "frame has 4 vectors$"):
+        solve(fc.make_frame(F_SPARSE), fc.PartialDual(np.ones((3, 5))))
 
 
 def test_family_sample_and_contains_roundtrip():

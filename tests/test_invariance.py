@@ -95,3 +95,30 @@ def test_a_change_of_coordinates_keeps_the_verdict(change, cond):
                 f"{where}; answers {gap:.3g} apart")
         seen += 1
     assert seen == 6 * 2 * 3 * PER_GROUP // (2 if change is as_complex else 1)
+
+
+# A frame at the scale 1e-10, with a tolerance scaled to match.  The dual
+# checks compare the unitless ||F G* - I|| with a tol in F's units, so
+# the canonical dual misses by 8.3e-16 > 1e-19; prescribing its first
+# column, direct says NoCompletion and product and svd return Unique
+# duals that fail is_dual_pair.
+F_TINY, TOL_TINY = 1e-10 * np.array([[1.0, 0, 1], [0, 1, 1]]), 1e-19
+UNITS = pytest.mark.xfail(
+    strict=True, reason="tol is in F's units, the dual residual has none; "
+                        "ROADMAP 'One tolerance rule, without units'")
+
+
+@UNITS
+def test_the_canonical_dual_of_a_tiny_frame_verifies():
+    fr = fc.make_frame(F_TINY, tol=TOL_TINY)
+    assert fc.is_dual_pair(fr, fc.canonical_dual(fr))
+
+
+@UNITS
+@pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
+def test_a_tiny_frame_completes_its_canonical_column(route):
+    # F's last two columns are independent, so the completion is unique
+    fr = fc.make_frame(F_TINY, tol=TOL_TINY)
+    out = route(fr, fc.PartialDual(fc.canonical_dual(fr)[:, :1], (0,)))
+    assert isinstance(out, fc.Unique)
+    assert fc.is_dual_pair(fr, out.G)

@@ -7,7 +7,7 @@ routes solve over the bottom rows of P, which span the kernel, so those
 rows hold only rounding at j; both routes take a prescribed column
 within eps * k * cond(F) of zero to be zero when frame vector j is
 independent of the others at numerical_rank's cutoff
-(product._complete_over_rows).  Without that rule, on 1800 aligned
+(_complete._complete_over_rows).  Without that rule, on 1800 aligned
 instances drawn as below (150 per group, cond <= 1e2), the product route
 gave a wrong verdict or dof on 316 and the SVD route on 91; the direct
 route and, with the rule, all three give none.  A column that small can
