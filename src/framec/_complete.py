@@ -7,7 +7,8 @@ only the system and its realize map, which turns X* and the conjugated
 kernel N* of coef into the particular dual and the direction rows W of
 the family, both in the frame's column order, so every family has the
 one shape particular + C @ W.  The product and SVD routes supply only
-the rows of their P; _complete_over_rows builds their system.
+the rows of their P; _complete_over_rows builds their system.  Each
+route checks the prescription with check_partial before it factors F.
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ def assemble_outcome(f: Frame, pd: PartialDual, coef: np.ndarray,
     nh = N* of conjugated kernel directions of coef to the particular
     dual and the d x k direction rows W, both in the frame's column
     order; the family is then particular + C @ W over all n x d
-    matrices C.  It runs only when the system is consistent.
+    matrices C.  It runs only when the system is consistent.  Only here
+    is coef cast to the field of F and H: a real F with a complex H is
+    solved over C.
     """
+    coef = coef.astype(np.result_type(f.mat.dtype, pd.H.dtype), copy=False)
     lin = solve_min_norm(coef, rhs, tol=f.tol)
     if not lin.consistent:
         # the solve's kernel already counts coef's rank at the same cutoff
@@ -77,12 +81,8 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
     eps * k * cond(F) of zero is that case when F without column j has
     rank below n at numerical_rank's cutoff, the direct route's rank
     rule; it is then zeroed in a copy, as its rounding would otherwise
-    count as rank of the solve.
+    count as rank of the solve.  The caller has run check_partial.
     """
-    check_partial(f, pd)
-    dtype = np.result_type(f.mat.dtype, pd.H.dtype, top.dtype)
-    top = top.astype(dtype, copy=False)
-    bottom = bottom.astype(dtype, copy=False)
     idx = list(pd.indices)
     cols = bottom[:, idx]
     # rounding leaves at most about eps * k * cond(F) at such a column,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._complete import assemble_outcome, check_partial, unpermute
 from .errors import BadShape, MixedField, NotDualPair
-from .frames import (CompletionOutcome, Frame, PartialDual, dual_residual,
+from .frames import (CompletionOutcome, Frame, PartialDual, is_dual_pair,
                      make_frame)
 from .linalg import adjoint, as_matrix, pseudoinverse, solve_min_norm
 
@@ -59,8 +59,7 @@ def extend_dual_pair(f0: Frame, g0, f1) -> CompletionOutcome:
     a unique extension.  The particular dual is exactly [G0 0] when
     F0 @ G0* = I holds exactly, and within rounding of it otherwise.
     """
-    g0 = as_matrix(g0)
-    if dual_residual(f0, g0) > f0.tol:
+    if not is_dual_pair(f0, g0):
         raise NotDualPair("F0 G0* deviates from the identity beyond tol")
     f1 = as_matrix(f1, allow_empty=True)
     if f1.shape[0] != f0.n:
@@ -75,25 +74,23 @@ def complete_direct(f: Frame, pd: PartialDual) -> CompletionOutcome:
     The system F_free @ G_free* = I - F_pres @ H* on the free columns is
     solved by minimum-norm least squares, and the outcome is classified
     by consistency and by the kernel of F_free.  F_pres and F_free are
-    read off F by index, with no permuted copy of F; realize stacks
-    [H X*; 0 N*] in [prescribed | free] column order and one unpermute
-    puts it back in the frame's.  s = 0 reproduces the canonical dual as
-    the particular member.
+    read off F by index, in F's dtype and with no permuted copy of F;
+    realize stacks [H X*; 0 N*] in [prescribed | free] column order and
+    one unpermute puts it back in the frame's.  s = 0 reproduces the
+    canonical dual as the particular member.
     """
     order, s = _column_order(f, pd), pd.s
-    dtype = np.result_type(f.mat.dtype, pd.H.dtype)
-    f_free = f.mat[:, order[s:]].astype(dtype, copy=False)
-    rhs = np.eye(f.n, dtype=dtype) - f.mat[:, order[:s]] @ adjoint(pd.H)
+    rhs = np.eye(f.n) - f.mat[:, order[:s]] @ adjoint(pd.H)
 
     def realize(xs, nh):
-        g = np.zeros((f.n + nh.shape[0], f.k), dtype=dtype)
+        g = np.zeros((f.n + nh.shape[0], f.k), dtype=xs.dtype)
         g[:f.n, :s] = pd.H
         g[:f.n, s:] = xs
         g[f.n:, s:] = nh
         g = unpermute(g, order)
         return g[:f.n], g[f.n:]
 
-    return assemble_outcome(f, pd, f_free, rhs, realize)
+    return assemble_outcome(f, pd, f.mat[:, order[s:]], rhs, realize)
 
 
 def complete_direct_scaled(f: Frame, pd: PartialDual,

@@ -172,9 +172,8 @@ def solve_min_norm(a, c, tol: float | None = None) -> LinSolve:
         raise DimensionMismatch(
             f"A has {a.shape[0]} rows but C has {c.shape[0]}")
     tol = DEFAULT_TOL if tol is None else _checked_tol(tol)
-    dtype = np.result_type(a.dtype, c.dtype)
     pinv = pseudoinverse(a)
-    solution = (pinv @ c).astype(dtype)
+    solution = pinv @ c
     residual = float(np.linalg.norm(a @ solution - c))
     consistent = residual <= tol * max(1.0, float(np.linalg.norm(c)))
     cols = a.shape[1]

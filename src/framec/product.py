@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._complete import _complete_over_rows
+from ._complete import _complete_over_rows, check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
 from .linalg import adjoint, as_matrix, eliminate_with_product
@@ -38,6 +38,7 @@ def complete_via_product(f: Frame, pd: PartialDual) -> CompletionOutcome:
     P comes from eliminating F* in the frame's own column order, so one
     P serves every prescription.
     """
+    check_partial(f, pd)
     p = eliminate_with_product(adjoint(f.mat), tol=f.tol).P
     return _complete_over_rows(f, pd, p[:f.n], p[f.n:])
 

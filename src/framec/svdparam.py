@@ -4,7 +4,8 @@ With F = U Sigma V*, the duals of F are exactly U [Sigma^{-1} X] V* over
 n x (k-n) blocks X.  That is the product parametrization [I_n A] P_svd
 with P_svd = blockdiag(U Sigma^{-1}, I) V* and A = U X, whose top rows
 are the canonical dual: every dual is S^{-1} F + A V*_bot (Li's form).
-This module only builds P_svd's rows; _complete solves for A over them.
+This module only builds P_svd's rows, from one SVD of the validated F;
+_complete solves for A over them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complete import _complete_over_rows
+from ._complete import _complete_over_rows, check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
 from .linalg import SvdFactors, as_matrix, svd
@@ -48,6 +49,7 @@ def dual_from_X(dp: DualParam) -> np.ndarray:
 
 def complete_via_svd(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """Complete a partial dual in SVD coordinates."""
-    fac = svd(f.mat)
-    top = fac.U @ (fac.vh[:f.n] / fac.sigma[:, None])
-    return _complete_over_rows(f, pd, top, fac.vh[f.n:])
+    check_partial(f, pd)
+    u, sigma, vh = np.linalg.svd(f.mat)
+    top = u @ (vh[:f.n] / sigma[:, None])
+    return _complete_over_rows(f, pd, top, vh[f.n:])

@@ -1,5 +1,7 @@
 import gc
 import json
+import os
+import shlex
 import subprocess
 import sys
 
@@ -10,6 +12,8 @@ import framec as fc
 from framec import cli
 from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_LONE, F_SPARSE,
                      F_WIDE, G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -858,3 +862,34 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "frame"
+
+
+def test_the_workflow_console_script_step_runs(tmp_path):
+    # the workflow's "Installed console script" step, less its install
+    # line, with `framec` a shim that runs this checkout's package
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"),
+              encoding="utf-8") as fh:
+        steps = yaml.safe_load(fh)["jobs"]["tests"]["steps"]
+    (step,) = [s for s in steps if s.get("name") == "Installed console script"]
+    lines = step["run"].splitlines()
+    assert "python -m pip install ." in lines
+    script = tmp_path / "step.sh"
+    script.write_text("\n".join(
+        line for line in lines if line != "python -m pip install .") + "\n")
+    bindir, runner = tmp_path / "bin", tmp_path / "runner"
+    bindir.mkdir()
+    runner.mkdir()
+    src = os.path.join(ROOT, "src")
+    shim = bindir / "framec"
+    shim.write_text(
+        "#!/bin/sh\n"
+        f'PYTHONPATH={shlex.quote(src)}${{PYTHONPATH:+:$PYTHONPATH}} '
+        f'exec {shlex.quote(sys.executable)} -m framec "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, RUNNER_TEMP=str(runner),
+               PATH=f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}")
+    proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail",
+                           str(script)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

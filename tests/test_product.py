@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import framec as fc
-from framec.product import _complete_over_rows
+from framec._complete import _complete_over_rows
 from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_SPARSE, F_WIDE,
                      G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE, ROUTES,
                      conditioned_frame, random_dual, random_frame,

@@ -7,7 +7,7 @@ routes solve over the bottom rows of P, which span the kernel, so those
 rows hold only rounding at j; both routes take a prescribed column
 within eps * k * cond(F) of zero to be zero when frame vector j is
 independent of the others at numerical_rank's cutoff
-(_complete._complete_over_rows).  Without that rule, on 1800 aligned
+(framec._complete._complete_over_rows).  Without that rule, on 1800 aligned
 instances drawn as below (150 per group, cond <= 1e2), the product route
 gave a wrong verdict or dof on 316 and the SVD route on 91; the direct
 route and, with the rule, all three give none.  A column that small can
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 import framec as fc
-from framec.product import _complete_over_rows
+from framec._complete import _complete_over_rows
 from helpers import F_LONE, ROUTES, aligned_instance, coupled_instance
 
 SCALES = [1e-3, 1.0, 1e3]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import framec as fc
-from framec.product import _complete_over_rows
+from framec._complete import _complete_over_rows
 from helpers import (F_COLLINEAR, F_SPARSE, F_WIDE, G_TRIPLE, H_STUCK,
                      H_TRIPLE, H_WIDE, ROUTES, random_dual, random_frame,
                      random_partial)
@@ -220,8 +220,17 @@ class TestSvdIsProductRoute:
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_every_route_rejects_prescriptions_that_do_not_fit(route):
+def test_every_route_rejects_prescriptions_that_do_not_fit(route,
+                                                           monkeypatch):
+    # before it factors F: an elimination or SVD would be wasted
     fr = fc.make_frame(F_SPARSE)
+
+    def factor(*args, **kwargs):
+        raise AssertionError("F was factored before the prescription "
+                             "was checked")
+
+    monkeypatch.setattr("framec.product.eliminate_with_product", factor)
+    monkeypatch.setattr(np.linalg, "svd", factor)
     for pd in (fc.PartialDual(np.ones((3, 5))),          # s > k
                fc.PartialDual(np.ones((3, 1)), (4,)),    # position >= k
                fc.PartialDual(np.ones((2, 1)), (0,))):   # rows != n
