@@ -6,9 +6,12 @@ at the frame's tolerance and classifies the outcome.  A method supplies
 only the system and its realize map, which turns X* and the conjugated
 kernel N* of coef into the particular dual and the direction rows W of
 the family, both in the frame's column order, so every family has the
-one shape particular + C @ W.  The product and SVD routes supply only
-the rows of their P; _complete_over_rows builds their system.  Each
-route checks the prescription with check_partial before it factors F.
+one shape particular + C @ W.  The SVD route supplies only the rows of
+its P, and _complete_over_rows builds its system.  The product route
+supplies its eliminated P with the elimination's row order, and
+_complete_over_pivots builds a smaller system from that P's shape.
+Both share one rounding rule, _lone_columns.  Each route checks the
+prescription with check_partial before it factors F.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .errors import BadShape
 from .frames import (Certificate, Family, Frame, NoCompletion, PartialDual,
                      SolutionFamily, Unique)
 from .linalg import adjoint, numerical_rank, solve_min_norm
+
+_EPS = np.finfo(np.float64).eps
 
 
 def check_partial(f: Frame, pd: PartialDual) -> None:
@@ -69,32 +74,110 @@ def assemble_outcome(f: Frame, pd: PartialDual, coef: np.ndarray,
     return Family(family=fam)
 
 
+def _lone_columns(f: Frame, positions, cols: np.ndarray) -> list:
+    """Which of cols, columns of P's bottom rows, are rounding of zero.
+
+    cols[:, i] belongs to frame position positions[i].  The rows of P's
+    bottom rows span ker F, so such a column vanishes exactly when frame
+    vector j is independent of the others, and then every dual shares
+    column j.  Rounding leaves at most about eps * k * cond(F) at such a
+    column, but a column of a dependent frame vector can be as small; a
+    column within that bound is counted only when F without column j has
+    rank below n at numerical_rank's cutoff, the direct route's rank
+    rule.  The caller zeroes the columns returned, as their rounding
+    would otherwise count as rank of the solve.
+    """
+    cutoff = _EPS * f.k * f.sigma[0] / f.sigma[-1]
+    small = ((cols * cols.conj()).real.sum(axis=0) <= cutoff ** 2).tolist()
+    return [i for i, tiny in enumerate(small) if tiny and
+            numerical_rank(np.delete(f.mat, positions[i], axis=1)) < f.n]
+
+
 def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
                         bottom: np.ndarray):
     """Solve for A and realize the duals G = top + A @ bottom.
 
     top and bottom are P's first n and last k - n rows, for P @ F* =
     [I_n; 0]; the prescription asks top[:, idx] + A @ bottom[:, idx] = H.
-    The rows of bottom span ker F, so bottom[:, j] vanishes exactly when
-    frame vector j is independent of the others, and then every dual
-    shares column j.  A prescribed column of bottom within
-    eps * k * cond(F) of zero is that case when F without column j has
-    rank below n at numerical_rank's cutoff, the direct route's rank
-    rule; it is then zeroed in a copy, as its rounding would otherwise
-    count as rank of the solve.  The caller has run check_partial.
+    A prescribed column of bottom that _lone_columns counts as rounding
+    of zero is zeroed in a copy, so the row step writes none of its
+    inputs.  The caller has run check_partial.
     """
     idx = list(pd.indices)
     cols = bottom[:, idx]
-    # rounding leaves at most about eps * k * cond(F) at such a column,
-    # but a column of a dependent frame vector can be as small
-    cutoff = np.finfo(np.float64).eps * f.k * f.sigma[0] / f.sigma[-1]
-    small = ((cols * cols.conj()).real.sum(axis=0) <= cutoff ** 2).tolist()
-    pinned = [i for i, tiny in enumerate(small) if tiny and
-              numerical_rank(np.delete(f.mat, idx[i], axis=1)) < f.n]
-    if pinned:
-        cols[:, pinned] = 0
+    lone = _lone_columns(f, idx, cols)
+    if lone:
+        cols[:, lone] = 0
         bottom = bottom.copy()
-        bottom[:, [idx[i] for i in pinned]] = 0
+        bottom[:, [idx[i] for i in lone]] = 0
     return assemble_outcome(f, pd, adjoint(cols),
                             adjoint(pd.H) - adjoint(top[:, idx]),
                             lambda xs, nh: (top + xs @ bottom, nh @ bottom))
+
+
+def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
+                          order: np.ndarray):
+    """Solve for A and realize G = [I_n A] @ P on an eliminated P's shape.
+
+    p and order come from eliminate_with_product: column order[n + t] of
+    P is e_(n+t), so column order[n + t] of G is column t of A.  A
+    prescribed non-pivot column therefore pins a column of A outright,
+    and only the prescribed pivot columns, at most n, give equations,
+    over the unpinned ("free") columns of A:
+    A_free @ bot[free, jp] = H_p - top[:, jp] - H_np @ bot[pinned, jp],
+    with top and bot the first n and last k - n rows of P's pivot
+    columns, the only part of P read.  The pinned columns have no
+    freedom, so the minimum-norm A is the one of the full system.
+    Realized in the elimination's column order and then put back:
+    [top + A @ bot | A] is the particular, and [N* @ bot[free] | N*
+    on the free columns] the direction rows.  The rounding rule of
+    _lone_columns applies to the prescribed pivot columns only, as a
+    non-pivot column of P's bottom rows is a unit vector.  A
+    NoCompletion certificate counts the ranks of the full system: each
+    pinned column adds one to both.  The caller has run check_partial.
+    """
+    n, k = f.n, f.k
+    # ndarray.take and compress cost a third of fancy indexing here
+    where = np.argsort(order)  # where[j] is the place of position j
+    place = where.take(pd.indices)
+    at_pivot = np.less(place, n)
+    jp = place.compress(at_pivot)
+    pc = p.take(order[:n], axis=1)
+    top, bot = pc[:n], pc[n:]
+    cols = bot.take(jp, axis=1)
+    lone = _lone_columns(f, order.take(jp), cols) if jp.size else []
+    if lone:
+        cols[:, lone] = 0
+        bot[:, jp[lone]] = 0
+    rhs = pd.H.compress(at_pivot, axis=1) - top.take(jp, axis=1)
+    npin = pd.s - jp.size
+    free = slice(None)
+    if npin:
+        off_pivot = ~at_pivot
+        pinned = place.compress(off_pivot) - n
+        h_np = pd.H.compress(off_pivot, axis=1)
+        rhs -= h_np @ cols.take(pinned, axis=0)
+        free = np.ones(k - n, dtype=bool)
+        free[pinned] = False
+        cols = cols.compress(free, axis=0)
+
+    def realize(xs, nh):
+        g = np.zeros((n + nh.shape[0], k), dtype=xs.dtype)
+        a = g[:, n:]
+        a[:n, free] = xs
+        a[n:, free] = nh
+        if npin:
+            a[:n, pinned] = h_np
+        g[:, :n] = a @ bot
+        g[:n, :n] += top
+        g = g.take(where, axis=1)
+        return g[:n], g[n:]
+
+    out = assemble_outcome(f, pd, adjoint(cols), adjoint(rhs), realize)
+    if npin and isinstance(out, NoCompletion):
+        cert = out.certificate
+        out = NoCompletion(certificate=Certificate(
+            rank_free=cert.rank_free + npin,
+            rank_augmented=cert.rank_augmented + npin,
+            projector_residual=cert.projector_residual))
+    return out

@@ -187,10 +187,16 @@ def solve_min_norm(a, c, tol: float | None = None) -> LinSolve:
 
 @dataclass(frozen=True)
 class Elimination:
-    """Invertible P with P @ Fstar = [I_n; 0], plus the achieved residual."""
+    """Invertible P with P @ Fstar = [I_n; 0], plus the achieved residual.
+
+    order is the elimination's row order, when it is known: order[:n]
+    are the pivot positions in pivot order, and column order[n + t] of P
+    is the unit vector e_(n+t).  A P built some other way has order None.
+    """
 
     P: np.ndarray
     residual: float
+    order: np.ndarray | None = None
 
 
 def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
@@ -205,8 +211,10 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     end.  Each pivot clears its column with one rank-1 update of that
     block, which applies to every entry of Q the same floating-point
     operations that updating all k columns of P would, so P comes out
-    the same.  P is not unique; callers must only rely on the residual
-    contract.
+    the same.  The order is returned with P: P[:, order[:n]] are its
+    pivot columns, and column order[n + t] is exactly e_(n+t), so a
+    caller can use that shape without scanning P.  P is not unique
+    otherwise; callers must only rely on the residual contract.
 
     fstar must have numerical rank n at tol, which must be finite and
     positive (ValueError otherwise).  The pivots settle that without an
@@ -227,7 +235,7 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     order = np.arange(k)
     rank_checked = False
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        piv = col + int(np.abs(aug[col:, col]).argmax())
         pivot = abs(aug[piv, col])
         if pivot <= tol and not rank_checked:
             _require_rank(fstar, tol)
@@ -256,7 +264,7 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     if not (rank_checked
             or 1.0 - residual > 2.0 * tol * float(np.linalg.norm(p[:n]))):
         _require_rank(fstar, tol)
-    return Elimination(P=p, residual=residual)
+    return Elimination(P=p, residual=residual, order=order)
 
 
 def _require_rank(fstar: np.ndarray, tol: float) -> None:

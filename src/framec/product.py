@@ -3,15 +3,18 @@
 Row-reducing F* with recorded operations gives an invertible P with
 P @ F* = [I_n; 0], and then G is a dual of F exactly when
 G = [I_n A] @ P for some n x (k-n) matrix A.  Prescribing columns of G
-pins [I_n A] @ P[:, idx], a linear condition on A.  This module only
-builds P; _complete solves for A over its rows.
+pins [I_n A] @ P[:, idx], a linear condition on A.  The k - n
+non-pivot columns of P are unit vectors, so a prescribed non-pivot
+column fixes a column of A outright, and only the prescribed pivot
+columns give equations.  This module only builds P; _complete solves
+for A on that shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._complete import _complete_over_rows, check_partial
+from ._complete import _complete_over_pivots, check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
 from .linalg import adjoint, as_matrix, eliminate_with_product
@@ -36,9 +39,10 @@ def complete_via_product(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """Complete a partial dual via the product parametrization.
 
     P comes from eliminating F* in the frame's own column order, so one
-    P serves every prescription.
+    P serves every prescription, and the elimination's row order tells
+    its pivot columns from its unit columns.
     """
     check_partial(f, pd)
-    p = eliminate_with_product(adjoint(f.mat), tol=f.tol).P
-    return _complete_over_rows(f, pd, p[:f.n], p[f.n:])
+    elim = eliminate_with_product(adjoint(f.mat), tol=f.tol)
+    return _complete_over_pivots(f, pd, elim.P, elim.order)
 

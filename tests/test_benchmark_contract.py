@@ -149,6 +149,28 @@ def test_unique_decide_takes_six_svds(svd_calls):
     assert svd_calls[0] <= 6
 
 
+# positions 0 and 1 are the elimination's pivots; the other four are not
+F_PINS = np.array([[3.0, 0, 1, 1, 1, -1], [0, 3, 1, -1, 2, 1]])
+
+
+# a prescribed non-pivot position pins a column of A, so with no pivot
+# position prescribed the product route's system has no rows, and its
+# solve and kernel take no SVD
+@pytest.mark.parametrize("idx, kind", [((2, 3, 4, 5), fc.Unique),
+                                       ((2, 3), fc.Family)],
+                         ids=["unique", "family"])
+def test_product_route_on_non_pivot_positions_takes_no_svd(svd_calls, idx,
+                                                           kind):
+    fr = fc.make_frame(F_PINS)
+    order = fc.eliminate_with_product(fc.adjoint(fr.mat), tol=fr.tol).order
+    assert sorted(order[:fr.n].tolist()) == [0, 1]
+    pd = fc.PartialDual(fc.canonical_dual(fr)[:, list(idx)], idx)
+    svd_calls[0] = 0
+    out = fc.complete_via_product(fr, pd)
+    assert isinstance(out, kind)
+    assert svd_calls[0] == 0
+
+
 @pytest.mark.parametrize("m", [F_1234, F_SPARSE,
                                np.array([[1.0, 0, 1j, 0], [0, 1, 0, 1 + 1j]])],
                          ids=["1234", "sparse", "complex"])

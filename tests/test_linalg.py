@@ -285,6 +285,25 @@ def test_eliminate_raises_at_a_zero_pivot_whatever_the_tol(fstar):
             fc.eliminate_with_product(fstar, tol=1e-20)
 
 
+@pytest.mark.parametrize("f", [
+    F_SPARSE, F_1234,
+    np.array([[1.0, 0, 1j, 0], [0, 1, 0, 1 + 1j]]),
+    np.array([[1.0, 0, 0, 0, 0], [0, 9e-10, 9e-10, 9e-10, 9e-10]]),
+    np.random.default_rng(29).standard_normal((4, 11)),
+    np.random.default_rng(31).standard_normal((3, 9))
+    + 1j * np.random.default_rng(37).standard_normal((3, 9)),
+], ids=["sparse", "1234", "complex", "small-pivot", "random", "random-c"])
+def test_eliminate_order_marks_the_unit_columns(f):
+    # the product route reads P's pivot columns only and treats column
+    # order[n + t] as exactly e_(n+t)
+    elim = fc.eliminate_with_product(f.conj().T, tol=1e-9)
+    n, k = f.shape
+    assert sorted(elim.order.tolist()) == list(range(k))
+    rest = elim.order[n:]
+    assert not elim.P[:n, rest].any()
+    assert np.array_equal(elim.P[n:, rest], np.eye(k - n))
+
+
 def test_eliminate_never_returns_a_non_finite_p():
     # the pivot 1e-320 clears the subnormal tol, but its reciprocal is inf
     with np.errstate(all="ignore"):
