@@ -132,9 +132,16 @@ def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
     [top + A @ bot | A] is the particular, and [N* @ bot[free] | N*
     on the free columns] the direction rows.  The rounding rule of
     _lone_columns applies to the prescribed pivot columns only, as a
-    non-pivot column of P's bottom rows is a unit vector.  A
+    non-pivot column of P's bottom rows is a unit vector.  The smaller
+    system must cut its singular values where the full one did: a pivot
+    vector that depends only on prescribed non-pivot vectors leaves a
+    free part of pure rounding, which a cutoff relative to that part
+    alone would count as rank.  So when both kinds of column are
+    prescribed and a column of A is left free, the system gets one more
+    unknown, whose coefficient carries the full system's scale.  A
     NoCompletion certificate counts the ranks of the full system: each
-    pinned column adds one to both.  The caller has run check_partial.
+    pinned column adds one to both, and the scale unknown none.  The
+    caller has run check_partial.
     """
     n, k = f.n, f.k
     # ndarray.take and compress cost a third of fancy indexing here
@@ -151,7 +158,9 @@ def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
         bot[:, jp[lone]] = 0
     rhs = pd.H.compress(at_pivot, axis=1) - top.take(jp, axis=1)
     npin = pd.s - jp.size
+    nfree = k - n - npin
     free = slice(None)
+    scale = 0.0
     if npin:
         off_pivot = ~at_pivot
         pinned = place.compress(off_pivot) - n
@@ -159,13 +168,31 @@ def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
         rhs -= h_np @ cols.take(pinned, axis=0)
         free = np.ones(k - n, dtype=bool)
         free[pinned] = False
+        if jp.size and nfree:
+            # the full system's largest singular value is at least 1, for
+            # its unit rows, and at least the rms norm of its pivot rows
+            top_sv = max(1.0, np.vdot(cols, cols).real / jp.size) ** 0.5
+            scale = top_sv * max(pd.s, k - n) / (max(jp.size, nfree) + 1)
         cols = cols.compress(free, axis=0)
+    coef, rhs = adjoint(cols), adjoint(rhs)
+    if scale:
+        # one more unknown, alone in one more equation, whose coefficient
+        # puts the cutoff of the (m + 1) x (nfree + 1) solve at
+        # max(s, k - n) * eps * top_sv, the full system's rule; the solve
+        # sets it to zero and it is never in the kernel
+        m = jp.size
+        wide = np.zeros((m + 1, nfree + 1), dtype=coef.dtype)
+        wide[:m, :nfree] = coef
+        wide[m, nfree] = scale
+        tall = np.zeros((m + 1, n), dtype=rhs.dtype)
+        tall[:m] = rhs
+        coef, rhs = wide, tall
 
     def realize(xs, nh):
         g = np.zeros((n + nh.shape[0], k), dtype=xs.dtype)
         a = g[:, n:]
-        a[:n, free] = xs
-        a[n:, free] = nh
+        a[:n, free] = xs[:, :nfree]
+        a[n:, free] = nh[:, :nfree]
         if npin:
             a[:n, pinned] = h_np
         g[:, :n] = a @ bot
@@ -173,11 +200,14 @@ def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
         g = g.take(where, axis=1)
         return g[:n], g[n:]
 
-    out = assemble_outcome(f, pd, adjoint(cols), adjoint(rhs), realize)
-    if npin and isinstance(out, NoCompletion):
+    out = assemble_outcome(f, pd, coef, rhs, realize)
+    # the full system has npin more unit rows, and no scale unknown
+    extra = npin - (1 if scale else 0)
+    if extra and isinstance(out, NoCompletion):
         cert = out.certificate
         out = NoCompletion(certificate=Certificate(
-            rank_free=cert.rank_free + npin,
-            rank_augmented=cert.rank_augmented + npin,
+            rank_free=cert.rank_free + extra,
+            rank_augmented=cert.rank_augmented + extra,
             projector_residual=cert.projector_residual))
     return out
+

@@ -235,7 +235,7 @@ def eliminate_with_product(fstar, tol: float | None = None) -> Elimination:
     order = np.arange(k)
     rank_checked = False
     for col in range(n):
-        piv = col + int(np.abs(aug[col:, col]).argmax())
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
         pivot = abs(aug[piv, col])
         if pivot <= tol and not rank_checked:
             _require_rank(fstar, tol)

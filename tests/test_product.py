@@ -7,8 +7,8 @@ import framec as fc
 from framec import _complete
 from framec._complete import _complete_over_rows
 from helpers import (F_1234, F_COLLINEAR, F_HADAMARD, F_SPARSE, F_WIDE,
-                     G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE, ROUTES,
-                     conditioned_frame, conditioned_instance, random_dual,
+                     G_TRIPLE, H_HADAMARD, H_STUCK, H_TRIPLE, H_WIDE, KINDS,
+                     ROUTES, conditioned_frame, conditioned_instance, random_dual,
                      random_frame, random_partial)
 
 P_SPARSE = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0],
@@ -382,14 +382,13 @@ def test_routes_agree_when_a_pivot_is_below_tol(eps):
                 <= fr.tol * max(1.0, np.linalg.norm(pd.H))
 
 
-VERDICTS = {"family": fc.Family, "unique": fc.Unique, "none": fc.NoCompletion}
-
-
 @pytest.mark.parametrize("s,verdict", [(396, "unique"), (4, "family")])
 def test_the_route_solves_only_the_prescribed_pivot_columns(monkeypatch, s,
                                                             verdict):
     # a prescribed non-pivot column pins a column of A, so the system has
-    # one row per prescribed pivot column and no column for a pinned one
+    # one row per prescribed pivot column and no column for a pinned one;
+    # when both kinds are prescribed and a column of A is left free, one
+    # more row and column carry the full system's scale
     rng = np.random.default_rng(241)
     n, k = 8, 400
     fr, pd = conditioned_instance(rng, n, k, s, 10.0, verdict)
@@ -402,10 +401,12 @@ def test_the_route_solves_only_the_prescribed_pivot_columns(monkeypatch, s,
 
     monkeypatch.setattr(_complete, "solve_min_norm", recording)
     out = fc.complete_via_product(fr, pd)
-    assert isinstance(out, VERDICTS[verdict])
+    assert isinstance(out, KINDS[verdict])
     order = fc.eliminate_with_product(fc.adjoint(fr.mat), tol=fr.tol).order
     at_pivot = int(np.isin(pd.indices, order[:n]).sum())
-    assert shapes == [(at_pivot, k - n - (s - at_pivot))]
+    free = k - n - (s - at_pivot)
+    scale = int(0 < at_pivot < s and free > 0)
+    assert shapes == [(at_pivot + scale, free + scale)]
 
 
 @pytest.mark.parametrize("complex_field", [False, True],
@@ -418,10 +419,38 @@ def test_agrees_with_direct_when_k_is_much_larger_than_n(complex_field):
                                       complex_field)
         a = fc.complete_direct(fr, pd)
         b = fc.complete_via_product(fr, pd)
-        assert type(a) is type(b) is VERDICTS[verdict]
+        assert type(a) is type(b) is KINDS[verdict]
         if isinstance(a, fc.Unique):
             assert np.linalg.norm(a.G - b.G) <= 1e-8 * max(
                 1.0, np.linalg.norm(a.G))
         elif isinstance(a, fc.Family):
             assert a.family.dof == b.family.dof
             assert fc.family_contains(a.family, b.family.particular)
+
+
+@pytest.mark.parametrize("complex_field", [False, True],
+                         ids=["real", "complex"])
+def test_a_pivot_vector_parallel_to_a_prescribed_one(complex_field):
+    # f2 is parallel to f0 and f3 to f1, so prescribing both vectors of a
+    # pair leaves the pivot column's free part pure rounding: the route
+    # must judge it at the full system's scale, not at its own, and find
+    # the family (on the dual) or no completion (off it) as direct does
+    rng = np.random.default_rng(257 + complex_field)
+    for _ in range(8):
+        z = rng.standard_normal((2, 2))
+        if complex_field:
+            z = z + 1j * rng.standard_normal((2, 2))
+        q = np.linalg.qr(z)[0]
+        fr = fc.make_frame(q @ np.array([[2.0, 0, 1, 0], [0, 3, 0, 1]]))
+        g = fc.canonical_dual(fr)
+        for idx in ((0, 2), (1, 3)):
+            for shift in (0.0, 1e-3):
+                pd = fc.PartialDual(g[:, list(idx)] + shift, idx)
+                a = fc.complete_direct(fr, pd)
+                b = fc.complete_via_product(fr, pd)
+                assert type(a) is type(b)
+                if isinstance(a, fc.Family):
+                    assert a.family.dof == b.family.dof == 2
+                    assert fc.family_contains(a.family, b.family.particular)
+                else:
+                    assert isinstance(a, fc.NoCompletion)
