@@ -6,12 +6,14 @@ at the frame's tolerance and classifies the outcome.  A method supplies
 only the system and its realize map, which turns X* and the conjugated
 kernel N* of coef into the particular dual and the direction rows W of
 the family, both in the frame's column order, so every family has the
-one shape particular + C @ W.  The SVD route supplies only the rows of
-its P, and _complete_over_rows builds its system.  The product route
-supplies its eliminated P with the elimination's row order, and
-_complete_over_pivots builds a smaller system from that P's shape.
-Both share one rounding rule, _lone_columns.  Each route checks the
-prescription with check_partial before it factors F.
+one shape particular + C @ W.  Both P-routes supply only the rows of
+their P, and _complete_over_rows, the one row step, builds the system:
+the SVD route's dense P, or the product route's pivot columns with the
+elimination's row order.  _column_realize realizes a route that writes
+A's columns in its own column order: the product route, and the direct
+route, which has no dense columns.  One rounding rule, _lone_columns,
+serves both P-routes.  Each route checks the prescription with
+check_partial before it factors F.
 """
 
 from __future__ import annotations
@@ -93,74 +95,73 @@ def _lone_columns(f: Frame, positions, cols: np.ndarray) -> list:
             numerical_rank(np.delete(f.mat, positions[i], axis=1)) < f.n]
 
 
-def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
-                        bottom: np.ndarray):
-    """Solve for A and realize the duals G = top + A @ bottom.
+def _column_realize(order: np.ndarray, free, nfree: int, pinned=None,
+                    h=None, top=None, bottom=None):
+    """The realize map of a route that writes A's columns.
 
-    top and bottom are P's first n and last k - n rows, for P @ F* =
-    [I_n; 0]; the prescription asks top[:, idx] + A @ bottom[:, idx] = H.
-    A prescribed column of bottom that _lone_columns counts as rounding
-    of zero is zeroed in a copy, so the row step writes none of its
-    inputs.  The caller has run check_partial.
+    In the column order `order`, G is [top + A @ bottom | A], or A alone
+    when top is None.  A's columns pinned are h, and its columns free
+    are the first nfree columns of X*, with N* on them as the direction
+    rows.  One unpermute puts both back in the frame's column order.
     """
-    idx = list(pd.indices)
-    cols = bottom[:, idx]
-    lone = _lone_columns(f, idx, cols)
+    def realize(xs, nh):
+        n = xs.shape[0]
+        g = np.zeros((n + nh.shape[0], order.size), dtype=xs.dtype)
+        a = g if top is None else g[:, n:]
+        a[:n, free] = xs[:, :nfree]
+        a[n:, free] = nh[:, :nfree]
+        if pinned is not None:
+            a[:n, pinned] = h
+        if top is not None:
+            g[:, :n] = a @ bottom
+            g[:n, :n] += top
+        g = unpermute(g, order)
+        return g[:n], g[n:]
+    return realize
+
+
+def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
+                        bottom: np.ndarray, order: np.ndarray | None = None):
+    """Solve for A and realize the duals G = [I_n A] @ P.
+
+    top and bottom are the first n and last k - n rows of P, for
+    P @ F* = [I_n; 0]; the prescription asks top[:, idx] +
+    A @ bottom[:, idx] = H.  With order None they are all of P, in the
+    frame's column order, and G = top + X* @ bottom.  With the
+    elimination's order they are P's pivot columns P[:, order[:n]]
+    only: column order[n + t] of G is column t of A, so a prescribed
+    non-pivot column pins a column of A, and the prescribed pivot
+    columns jp give the equations over the unpinned ("free") ones,
+    A_free @ bot[free, jp] = H_p - top[:, jp] - H_np @ bot[pinned, jp];
+    the minimum-norm A is the full system's.  When both kinds are
+    prescribed and a column of A is free, one more unknown carries the
+    full system's scale, so that a pivot column whose free part is pure
+    rounding does not count as rank, and a NoCompletion certificate
+    counts the full system's ranks.  A prescribed column of bottom that
+    _lone_columns counts as rounding of zero is zeroed in a copy, so
+    the row step writes none of its inputs.  The caller has run
+    check_partial.
+    """
+    n, k = f.n, f.k
+    rhs, npin, nfree, free, scale = pd.H, 0, k - n, slice(None), 0.0
+    pinned = h_np = None
+    if order is None:
+        jp = positions = np.array(pd.indices, dtype=np.intp)
+    else:
+        # ndarray.take and compress cost a third of fancy indexing here
+        place = np.argsort(order).take(pd.indices)
+        at_pivot = np.less(place, n)
+        jp = place.compress(at_pivot)
+        positions = order.take(jp)
+        npin = pd.s - jp.size
+        rhs = pd.H.compress(at_pivot, axis=1)
+    cols = bottom.take(jp, axis=1)
+    lone = _lone_columns(f, positions, cols) if jp.size else []
     if lone:
         cols[:, lone] = 0
         bottom = bottom.copy()
-        bottom[:, [idx[i] for i in lone]] = 0
-    return assemble_outcome(f, pd, adjoint(cols),
-                            adjoint(pd.H) - adjoint(top[:, idx]),
-                            lambda xs, nh: (top + xs @ bottom, nh @ bottom))
-
-
-def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
-                          order: np.ndarray):
-    """Solve for A and realize G = [I_n A] @ P on an eliminated P's shape.
-
-    p and order come from eliminate_with_product: column order[n + t] of
-    P is e_(n+t), so column order[n + t] of G is column t of A.  A
-    prescribed non-pivot column therefore pins a column of A outright,
-    and only the prescribed pivot columns, at most n, give equations,
-    over the unpinned ("free") columns of A:
-    A_free @ bot[free, jp] = H_p - top[:, jp] - H_np @ bot[pinned, jp],
-    with top and bot the first n and last k - n rows of P's pivot
-    columns, the only part of P read.  The pinned columns have no
-    freedom, so the minimum-norm A is the one of the full system.
-    Realized in the elimination's column order and then put back:
-    [top + A @ bot | A] is the particular, and [N* @ bot[free] | N*
-    on the free columns] the direction rows.  The rounding rule of
-    _lone_columns applies to the prescribed pivot columns only, as a
-    non-pivot column of P's bottom rows is a unit vector.  The smaller
-    system must cut its singular values where the full one did: a pivot
-    vector that depends only on prescribed non-pivot vectors leaves a
-    free part of pure rounding, which a cutoff relative to that part
-    alone would count as rank.  So when both kinds of column are
-    prescribed and a column of A is left free, the system gets one more
-    unknown, whose coefficient carries the full system's scale.  A
-    NoCompletion certificate counts the ranks of the full system: each
-    pinned column adds one to both, and the scale unknown none.  The
-    caller has run check_partial.
-    """
-    n, k = f.n, f.k
-    # ndarray.take and compress cost a third of fancy indexing here
-    where = np.argsort(order)  # where[j] is the place of position j
-    place = where.take(pd.indices)
-    at_pivot = np.less(place, n)
-    jp = place.compress(at_pivot)
-    pc = p.take(order[:n], axis=1)
-    top, bot = pc[:n], pc[n:]
-    cols = bot.take(jp, axis=1)
-    lone = _lone_columns(f, order.take(jp), cols) if jp.size else []
-    if lone:
-        cols[:, lone] = 0
-        bot[:, jp[lone]] = 0
-    rhs = pd.H.compress(at_pivot, axis=1) - top.take(jp, axis=1)
-    npin = pd.s - jp.size
-    nfree = k - n - npin
-    free = slice(None)
-    scale = 0.0
+        bottom[:, jp[lone]] = 0
+    rhs = rhs - top.take(jp, axis=1)
     if npin:
         off_pivot = ~at_pivot
         pinned = place.compress(off_pivot) - n
@@ -168,6 +169,7 @@ def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
         rhs -= h_np @ cols.take(pinned, axis=0)
         free = np.ones(k - n, dtype=bool)
         free[pinned] = False
+        nfree -= npin
         if jp.size and nfree:
             # the full system's largest singular value is at least 1, for
             # its unit rows, and at least the rms norm of its pivot rows
@@ -187,19 +189,12 @@ def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
         tall = np.zeros((m + 1, n), dtype=rhs.dtype)
         tall[:m] = rhs
         coef, rhs = wide, tall
-
-    def realize(xs, nh):
-        g = np.zeros((n + nh.shape[0], k), dtype=xs.dtype)
-        a = g[:, n:]
-        a[:n, free] = xs[:, :nfree]
-        a[n:, free] = nh[:, :nfree]
-        if npin:
-            a[:n, pinned] = h_np
-        g[:, :n] = a @ bot
-        g[:n, :n] += top
-        g = g.take(where, axis=1)
-        return g[:n], g[n:]
-
+    if order is None:
+        def realize(xs, nh):
+            return top + xs @ bottom, nh @ bottom
+    else:
+        realize = _column_realize(order, free, nfree, pinned, h_np, top,
+                                  bottom)
     out = assemble_outcome(f, pd, coef, rhs, realize)
     # the full system has npin more unit rows, and no scale unknown
     extra = npin - (1 if scale else 0)
@@ -210,4 +205,3 @@ def _complete_over_pivots(f: Frame, pd: PartialDual, p: np.ndarray,
             rank_augmented=cert.rank_augmented + extra,
             projector_residual=cert.projector_residual))
     return out
-

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complete import assemble_outcome, check_partial, unpermute
+from ._complete import _column_realize, assemble_outcome, check_partial
 from .errors import BadShape, MixedField, NotDualPair
 from .frames import (CompletionOutcome, Frame, PartialDual, is_dual_pair,
                      make_frame)
@@ -81,15 +81,8 @@ def complete_direct(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """
     order, s = _column_order(f, pd), pd.s
     rhs = np.eye(f.n) - f.mat[:, order[:s]] @ adjoint(pd.H)
-
-    def realize(xs, nh):
-        g = np.zeros((f.n + nh.shape[0], f.k), dtype=xs.dtype)
-        g[:f.n, :s] = pd.H
-        g[:f.n, s:] = xs
-        g[f.n:, s:] = nh
-        g = unpermute(g, order)
-        return g[:f.n], g[f.n:]
-
+    realize = _column_realize(order, slice(s, None), f.k - s, slice(0, s),
+                              pd.H)
     return assemble_outcome(f, pd, f.mat[:, order[s:]], rhs, realize)
 
 

@@ -191,7 +191,9 @@ class Elimination:
 
     order is the elimination's row order, when it is known: order[:n]
     are the pivot positions in pivot order, and column order[n + t] of P
-    is the unit vector e_(n+t).  A P built some other way has order None.
+    is the unit vector e_(n+t), so the row step reads only P's pivot
+    columns.  A P built some other way has order None, and the row step
+    reads all of it, in the frame's column order.
     """
 
     P: np.ndarray

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._complete import _complete_over_pivots, check_partial
+from ._complete import _complete_over_rows, check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
 from .linalg import adjoint, as_matrix, eliminate_with_product
@@ -44,5 +44,6 @@ def complete_via_product(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """
     check_partial(f, pd)
     elim = eliminate_with_product(adjoint(f.mat), tol=f.tol)
-    return _complete_over_pivots(f, pd, elim.P, elim.order)
+    pc = elim.P.take(elim.order[:f.n], axis=1)
+    return _complete_over_rows(f, pd, pc[:f.n], pc[f.n:], elim.order)
 

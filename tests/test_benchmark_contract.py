@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 import framec as fc
-from framec import cli
-from helpers import F_1234, F_COLLINEAR, F_SPARSE, H_STUCK, H_TRIPLE, ROUTES
+from framec import _complete, cli
+from helpers import (F_1234, F_COLLINEAR, F_LONE, F_SPARSE, H_STUCK, H_TRIPLE,
+                     ROUTES)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -169,6 +170,37 @@ def test_product_route_on_non_pivot_positions_takes_no_svd(svd_calls, idx,
     out = fc.complete_via_product(fr, pd)
     assert isinstance(out, kind)
     assert svd_calls[0] == 0
+
+
+# the SVD route's P is dense in the frame's column order, so its duals
+# are top + X* @ bottom with no gather back into that order; writing X*
+# and N* into A's columns would cost it a k-column copy and a gather per
+# call.  The direct and product routes gather once, so the count sees them.
+@pytest.mark.parametrize("m, h, idx", [
+    (F_1234, np.array([[1.0], [0.0]]), (0,)),
+    (F_SPARSE, H_TRIPLE, (0, 1)),
+    (F_COLLINEAR, H_STUCK, (0, 1)),
+    (F_LONE, None, (1,)),
+    (np.array([[2.0, 1], [1, 1]]), np.array([[1.0], [-1.0]]), (0,)),
+], ids=["family", "unique", "none", "lone", "square"])
+def test_svd_route_gathers_no_columns(monkeypatch, m, h, idx):
+    fr = fc.make_frame(m)
+    if h is None:
+        h = fc.canonical_dual(fr)[:, list(idx)]
+    pd = fc.PartialDual(h, idx)
+    calls = [0]
+    unpermute = _complete.unpermute
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return unpermute(*args, **kwargs)
+
+    monkeypatch.setattr(_complete, "unpermute", counting)
+    fc.complete_via_svd(fr, pd)
+    assert calls[0] == 0
+    gathers = sum(not isinstance(route(fr, pd), fc.NoCompletion)
+                  for route in (fc.complete_direct, fc.complete_via_product))
+    assert calls[0] == gathers
 
 
 @pytest.mark.parametrize("m", [F_1234, F_SPARSE,

@@ -18,10 +18,12 @@ not duals at the frame's tolerance: 6, 46 and 68 at cond 1e2, 1e3 and
 are.
 """
 
+import numpy as np
 import pytest
 
 import framec as fc
-from helpers import KINDS, PER_GROUP, ROUTES, known_verdict_instances
+from helpers import (KINDS, PER_GROUP, ROUTES, conditioned_frame,
+                     known_verdict_instances)
 
 _ROUTE_DISAGREEMENT = pytest.mark.xfail(
     strict=True,
@@ -71,3 +73,45 @@ def test_every_answer_is_a_dual(cond):
                 f"n={fr.n} k={fr.k} s={pd.s}")
         seen += 1
     assert seen == 6 * 2 * 3 * PER_GROUP
+
+
+# k = n, which helpers and perfbench's generators never draw: the only
+# dual is F^-*, so the P-routes' bottom rows are empty and A has no column
+SQUARE_SHAPES = [(2, 1), (3, 2), (5, 3)]   # (n, partial s)
+PRESCRIBED = ["none", "partial", "all"]
+
+
+def square_problems(field, prescribed):
+    """(frame, F^-*, idx) on square frames of cond 1e2."""
+    rng = np.random.default_rng(11)
+    for n, partial in SQUARE_SHAPES:
+        fr = conditioned_frame(rng, n, n, 1e2, field == "complex")
+        s = {"none": 0, "partial": partial, "all": n}[prescribed]
+        idx = tuple(sorted(int(i) for i in rng.choice(n, s, replace=False)))
+        yield fr, np.linalg.inv(fr.mat).conj().T, idx
+
+
+@pytest.mark.parametrize("prescribed", PRESCRIBED)
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
+def test_a_square_frame_has_its_inverse_as_the_one_dual(route, field,
+                                                        prescribed):
+    for fr, g, idx in square_problems(field, prescribed):
+        out = route(fr, fc.PartialDual(g[:, list(idx)], idx))
+        assert isinstance(out, fc.Unique), type(out).__name__
+        assert out.G.shape == (fr.n, fr.n)
+        assert np.allclose(out.G, g, rtol=0, atol=1e-10 * np.abs(g).max())
+        assert fc.is_dual_pair(fr, out.G)
+
+
+@pytest.mark.parametrize("prescribed", PRESCRIBED[1:])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
+def test_a_square_frame_off_its_inverse_has_no_completion(route, field,
+                                                          prescribed):
+    for fr, g, idx in square_problems(field, prescribed):
+        h = g[:, list(idx)] + 1e-3 * np.abs(g).max()
+        out = route(fr, fc.PartialDual(h, idx))
+        assert isinstance(out, fc.NoCompletion), type(out).__name__
+        cert = out.certificate
+        assert cert.rank_free < cert.rank_augmented
