@@ -39,12 +39,14 @@ def check_partial(f: Frame, pd: PartialDual) -> None:
         raise BadShape(f"position {pd.indices[-1]} out of range 0..{f.k - 1}")
 
 
-def unpermute(gp: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Undo a column permutation: column perm[j] of the result is gp[:, j].
+def unpermute(gp: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Undo a column permutation perm, given inv = np.argsort(perm).
 
-    np.take keeps the result C-contiguous; gp[:, idx] would not.
+    Column perm[j] of the result is gp[:, j].  The caller already holds
+    inv, so it is not sorted again here.  np.take keeps the result
+    C-contiguous; gp[:, inv] would not.
     """
-    return np.take(gp, np.argsort(perm), axis=1)
+    return np.take(gp, inv, axis=1)
 
 
 def assemble_outcome(f: Frame, pd: PartialDual, coef: np.ndarray,
@@ -95,18 +97,19 @@ def _lone_columns(f: Frame, positions, cols: np.ndarray) -> list:
             numerical_rank(np.delete(f.mat, positions[i], axis=1)) < f.n]
 
 
-def _column_realize(order: np.ndarray, free, nfree: int, pinned=None,
+def _column_realize(inv: np.ndarray, free, nfree: int, pinned=None,
                     h=None, top=None, bottom=None):
     """The realize map of a route that writes A's columns.
 
-    In the column order `order`, G is [top + A @ bottom | A], or A alone
-    when top is None.  A's columns pinned are h, and its columns free
-    are the first nfree columns of X*, with N* on them as the direction
-    rows.  One unpermute puts both back in the frame's column order.
+    In the route's column order, whose inverse permutation is inv, G is
+    [top + A @ bottom | A], or A alone when top is None.  A's columns
+    pinned are h, and its columns free are the first nfree columns of
+    X*, with N* on them as the direction rows.  One unpermute puts both
+    back in the frame's column order.
     """
     def realize(xs, nh):
         n = xs.shape[0]
-        g = np.zeros((n + nh.shape[0], order.size), dtype=xs.dtype)
+        g = np.zeros((n + nh.shape[0], inv.size), dtype=xs.dtype)
         a = g if top is None else g[:, n:]
         a[:n, free] = xs[:, :nfree]
         a[n:, free] = nh[:, :nfree]
@@ -115,7 +118,7 @@ def _column_realize(order: np.ndarray, free, nfree: int, pinned=None,
         if top is not None:
             g[:, :n] = a @ bottom
             g[:n, :n] += top
-        g = unpermute(g, order)
+        g = unpermute(g, inv)
         return g[:n], g[n:]
     return realize
 
@@ -149,7 +152,8 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
         jp = positions = np.array(pd.indices, dtype=np.intp)
     else:
         # ndarray.take and compress cost a third of fancy indexing here
-        place = np.argsort(order).take(pd.indices)
+        inv = np.argsort(order)
+        place = inv.take(pd.indices)
         at_pivot = np.less(place, n)
         jp = place.compress(at_pivot)
         positions = order.take(jp)
@@ -193,7 +197,7 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
         def realize(xs, nh):
             return top + xs @ bottom, nh @ bottom
     else:
-        realize = _column_realize(order, free, nfree, pinned, h_np, top,
+        realize = _column_realize(inv, free, nfree, pinned, h_np, top,
                                   bottom)
     out = assemble_outcome(f, pd, coef, rhs, realize)
     # the full system has npin more unit rows, and no scale unknown

@@ -81,8 +81,8 @@ def complete_direct(f: Frame, pd: PartialDual) -> CompletionOutcome:
     """
     order, s = _column_order(f, pd), pd.s
     rhs = np.eye(f.n) - f.mat[:, order[:s]] @ adjoint(pd.H)
-    realize = _column_realize(order, slice(s, None), f.k - s, slice(0, s),
-                              pd.H)
+    realize = _column_realize(np.argsort(order), slice(s, None), f.k - s,
+                              slice(0, s), pd.H)
     return assemble_outcome(f, pd, f.mat[:, order[s:]], rhs, realize)
 
 

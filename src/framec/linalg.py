@@ -58,18 +58,32 @@ def default_tol(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Full SVD of an n x k matrix with n <= k: M = U @ sigma_matrix() @ vh."""
+    """SVD of an m x k matrix M, of any shape: M = U @ sigma_matrix() @ vh.
 
-    U: np.ndarray      # n x n unitary
-    sigma: np.ndarray  # length n, non-increasing, >= 0
-    vh: np.ndarray     # k x k unitary V*, rows are right singular vectors
+    The full SVD has U m x m and vh k x k.  The thin one that
+    np.linalg.svd(M, full_matrices=False) gives, U m x p and vh p x k for
+    p = min(m, k), describes the same M, and for m >= k its vh is the
+    full V*.  pseudoinverse reads A+ off either; nullspace_basis needs a
+    square vh.  SvdFactors(*np.linalg.svd(M, ...)) builds it from the
+    plain tuple numpy before 2.0 returns and from the SVDResult after.
+    """
+
+    U: np.ndarray      # m x m unitary; m x p when thin
+    sigma: np.ndarray  # length p = min(m, k), non-increasing, >= 0
+    vh: np.ndarray     # k x k unitary V*, rows right singular vectors;
+                       # p x k when thin
+
+    @property
+    def shape(self) -> tuple:
+        """(m, k), the shape of M."""
+        return self.U.shape[0], self.vh.shape[1]
 
     def sigma_matrix(self) -> np.ndarray:
-        """The n x k rectangular diagonal factor."""
-        n = self.sigma.shape[0]
-        k = self.vh.shape[0]
-        out = np.zeros((n, k), dtype=self.U.dtype)
-        out[:n, :n] = np.diag(self.sigma)
+        """The rectangular diagonal factor, U's columns x vh's rows."""
+        p = self.sigma.shape[0]
+        out = np.zeros((self.U.shape[1], self.vh.shape[0]),
+                       dtype=self.U.dtype)
+        out[:p, :p] = np.diag(self.sigma)
         return out
 
     @property
@@ -83,8 +97,7 @@ def svd(m) -> SvdFactors:
     n, k = m.shape
     if n > k:
         raise BadShape(f"expected rows <= cols, got {n} x {k}; transpose first")
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return SvdFactors(U=u, sigma=s, vh=vh)
+    return SvdFactors(*np.linalg.svd(m, full_matrices=True))
 
 
 def _default_cutoff(s: np.ndarray, shape: tuple) -> float:
@@ -114,26 +127,51 @@ def numerical_rank(m, tol: float | None = None) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
+def _svd_full_v(m: np.ndarray) -> SvdFactors:
+    """The SVD of a nonempty m with the full V*, and no more of U.
+
+    With rows >= cols the thin SVD already has the full V*; the columns
+    of U that the full SVD adds serve neither A+ nor ker A.
+    """
+    return SvdFactors(*np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1]))
+
+
 def pseudoinverse(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with the numerical_rank cutoff."""
-    m = as_matrix(m, allow_empty=True)
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    """Moore-Penrose pseudoinverse at numerical_rank's cutoff.
+
+    m is a matrix, whose thin SVD is taken here, or the SvdFactors, full
+    or thin, of one: A+ = V1 Sigma1^-1 U1* is read off them with no SVD
+    of its own.  A matrix with no rows or no columns takes no SVD.
+    """
+    if not isinstance(m, SvdFactors):
+        m = as_matrix(m, allow_empty=True)
+        if min(m.shape) == 0:
+            return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
+        m = SvdFactors(*np.linalg.svd(m, full_matrices=False))
+    s = m.sigma
+    p = s.shape[0]
     cutoff = _default_cutoff(s, m.shape)
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return adjoint(vh) @ (inv[:, None] * adjoint(u))
+    return adjoint(m.vh[:p]) @ (inv[:, None] * adjoint(m.U[:, :p]))
 
 
 def nullspace_basis(m) -> np.ndarray:
-    """Orthonormal kernel basis (as columns) at numerical_rank's cutoff."""
-    m = as_matrix(m, allow_empty=True)
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return np.eye(cols, dtype=m.dtype)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.count_nonzero(s > _default_cutoff(s, m.shape)))
-    return adjoint(vh[rank:, :])
+    """Orthonormal kernel basis V2 (as columns) at numerical_rank's cutoff.
+
+    m is a matrix, whose SVD with the full V* is taken here, or
+    SvdFactors of one with the full V*, off which the kernel is read
+    with no SVD of its own; thin factors whose vh is not square raise
+    BadShape.  A matrix with no rows or no columns takes no SVD.
+    """
+    if not isinstance(m, SvdFactors):
+        m = as_matrix(m, allow_empty=True)
+        if min(m.shape) == 0:
+            return np.eye(m.shape[1], dtype=m.dtype)
+        m = _svd_full_v(m)
+    elif m.vh.shape[0] != m.vh.shape[1]:
+        raise BadShape(f"the kernel needs a full SVD; vh is {m.vh.shape}")
+    rank = int(np.count_nonzero(m.sigma > _default_cutoff(m.sigma, m.shape)))
+    return adjoint(m.vh[rank:, :])
 
 
 @dataclass(frozen=True)
@@ -161,28 +199,25 @@ def solve_min_norm(a, c, tol: float | None = None) -> LinSolve:
     have zero rows or columns; the empty system is consistent with
     solution zero.
 
-    A+ A projects onto A's row space, so its trace is A's rank at the
-    pseudoinverse's cutoff, up to rounding.  When that trace is within
-    1/4 of A's column count the kernel is empty and no second SVD is
-    taken; otherwise nullspace_basis computes it.
+    One SVD A = U Sigma V* with the full V* gives both
+    A+ = V1 Sigma1^-1 U1* and ker A = span V2, so it is taken once and
+    pseudoinverse and nullspace_basis read their answers off it; a
+    system with no rows or no columns takes no SVD.  A and C are put
+    into C order first, so the answer's bits do not depend on how the
+    caller stored them.
     """
-    a = as_matrix(a, allow_empty=True)
-    c = as_matrix(c, allow_empty=True)
+    a = np.ascontiguousarray(as_matrix(a, allow_empty=True))
+    c = np.ascontiguousarray(as_matrix(c, allow_empty=True))
     if a.shape[0] != c.shape[0]:
         raise DimensionMismatch(
             f"A has {a.shape[0]} rows but C has {c.shape[0]}")
     tol = DEFAULT_TOL if tol is None else _checked_tol(tol)
-    pinv = pseudoinverse(a)
-    solution = pinv @ c
+    factors = _svd_full_v(a) if min(a.shape) else a
+    solution = pseudoinverse(factors) @ c
     residual = float(np.linalg.norm(a @ solution - c))
     consistent = residual <= tol * max(1.0, float(np.linalg.norm(c)))
-    cols = a.shape[1]
-    if abs(np.einsum("ij,ji->", pinv, a).real - cols) < 0.25:
-        kernel = np.zeros((cols, 0), dtype=a.dtype)
-    else:
-        kernel = nullspace_basis(a)
     return LinSolve(solution=solution, residual=residual,
-                    nullspace=kernel, consistent=consistent)
+                    nullspace=nullspace_basis(factors), consistent=consistent)
 
 
 @dataclass(frozen=True)

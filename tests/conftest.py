@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 _acceptance = []
 
 
@@ -13,3 +16,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, outcome in sorted(_acceptance):
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"{verdict}  {name}")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counter of numpy.linalg.svd calls made while the test runs."""
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

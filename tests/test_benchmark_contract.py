@@ -8,6 +8,7 @@ load its tracer from the file (read only) and check the contract here.
 They also pin how many SVDs a three-route decide and `framec check` take.
 """
 
+import collections
 import contextlib
 import importlib
 import importlib.util
@@ -104,50 +105,59 @@ def test_every_named_function_is_called(tmp_path):
     assert totals[tracing.SVD]["calls"] >= 1
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Counter of numpy.linalg.svd calls made while the test runs."""
-    calls = [0]
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
-# per route: the reduced solve's pseudoinverse, and its kernel only when
-# the trace of A+ A leaves a kernel; the product route's elimination
-# takes none when its pivots certify the rank; svd adds the factorization
-# of F, the P-routes the rank test of a prescribed column of P's bottom
+# per route: one SVD of the reduced system, which gives both its
+# pseudoinverse and its kernel; the product route's elimination takes
+# none when its pivots certify the rank; svd adds the factorization of
+# F, the P-routes the rank test of a prescribed column of P's bottom
 # rows that is near zero, and a certificate its augmented rank
-def test_no_completion_decide_takes_ten_svds(svd_calls):
+def test_no_completion_decide_takes_seven_svds(svd_calls):
     fr = fc.make_frame(F_COLLINEAR)
     pd = fc.PartialDual(H_STUCK)
     svd_calls[0] = 0
     outs = three_route_decide(fr, pd)
     assert all(isinstance(o, fc.NoCompletion) for o in outs)
-    assert svd_calls[0] <= 10
+    assert svd_calls[0] <= 7
 
 
-def test_family_decide_takes_seven_svds(svd_calls):
+def test_family_decide_takes_four_svds(svd_calls):
     fr = fc.make_frame(F_1234)
     pd = fc.PartialDual(np.array([[1.0], [0.0]]))
     svd_calls[0] = 0
     outs = three_route_decide(fr, pd)
     assert all(isinstance(o, fc.Family) for o in outs)
-    assert svd_calls[0] <= 7
+    assert svd_calls[0] <= 4
 
 
-def test_unique_decide_takes_six_svds(svd_calls):
+def test_unique_decide_takes_five_svds(svd_calls):
     fr = fc.make_frame(F_SPARSE)
     pd = fc.PartialDual(H_TRIPLE)
     svd_calls[0] = 0
     outs = three_route_decide(fr, pd)
     assert all(isinstance(o, fc.Unique) for o in outs)
-    assert svd_calls[0] <= 6
+    assert svd_calls[0] <= 5
+
+
+# the tracer files each SVD under the span that called it: the reduced
+# solve's one SVD is its own, and the layers that read the factors, which
+# the benchmark times by name, take none
+def test_reduced_solve_takes_one_svd_and_its_layers_none():
+    fr = fc.make_frame(F_1234)
+    pd = fc.PartialDual(np.array([[1.0], [0.0]]))
+    tracer = tracing.Tracer()
+    with tracer.active("test"):
+        outs = three_route_decide(fr, pd)
+    assert all(isinstance(o, fc.Family) for o in outs)
+    names = [span[0] for span in tracer.spans]
+    svds = collections.Counter(span[3] for span in tracer.spans
+                               if span[0] == tracing.SVD)
+    solves = [i for i, name in enumerate(names)
+              if name == "linalg.solve_min_norm"]
+    assert len(solves) == len(ROUTES)
+    assert [svds.get(i, 0) for i in solves] == [1] * len(solves)
+    for layer in ("linalg.pseudoinverse", "linalg.nullspace_basis"):
+        spans = [i for i, name in enumerate(names) if name == layer]
+        assert [tracer.spans[i][3] for i in spans] == solves, layer
+        assert [svds.get(i, 0) for i in spans] == [0] * len(spans), layer
 
 
 # positions 0 and 1 are the elimination's pivots; the other four are not

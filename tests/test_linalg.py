@@ -186,6 +186,85 @@ def test_solve_min_norm_shape_mismatch():
         fc.solve_min_norm(np.eye(2), np.zeros((3, 1)))
 
 
+def one_svd_systems():
+    """(id, a, c): wide, tall, square and rank-deficient, real and complex."""
+    rng = np.random.default_rng(53)
+    out = []
+    for field in ("real", "complex"):
+        def draw(*shape):
+            z = rng.standard_normal(shape)
+            if field == "complex":
+                z = z + 1j * rng.standard_normal(shape)
+            return z
+        # large enough that BLAS takes a layout-dependent path
+        for name, a in [("wide", draw(10, 30)), ("tall", draw(30, 10)),
+                        ("square", draw(12, 12)),
+                        ("deficient", draw(20, 8) @ draw(8, 30))]:
+            out.append((f"{field}-{name}", a, draw(a.shape[0], 10)))
+    return out
+
+
+ONE_SVD_SYSTEMS = one_svd_systems()
+ONE_SVD_IDS = [case[0] for case in ONE_SVD_SYSTEMS]
+
+
+def spectral_rank(a):
+    """Rank of the test systems, whose spectra are far from the cutoff."""
+    return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > 1e-8))
+
+
+@pytest.mark.parametrize("name, a, c", ONE_SVD_SYSTEMS, ids=ONE_SVD_IDS)
+def test_solve_min_norm_takes_one_svd(svd_calls, name, a, c):
+    lin = fc.solve_min_norm(a, c)
+    assert svd_calls[0] == 1
+    assert lin.nullspace.shape == (a.shape[1],
+                                   a.shape[1] - spectral_rank(a))
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0)])
+def test_empty_solve_takes_no_svd(svd_calls, shape):
+    fc.solve_min_norm(np.zeros(shape), np.zeros((shape[0], 1)))
+    assert svd_calls[0] == 0
+
+
+@pytest.mark.parametrize("name, a, c", ONE_SVD_SYSTEMS, ids=ONE_SVD_IDS)
+def test_layers_read_the_factors(name, a, c):
+    full = fc.SvdFactors(*np.linalg.svd(a))
+    thin = fc.SvdFactors(*np.linalg.svd(a, full_matrices=False))
+    assert full.shape == thin.shape == a.shape
+    want = fc.pseudoinverse(a)
+    for fac in (full, thin):
+        assert np.linalg.norm(fac.U @ fac.sigma_matrix() @ fac.vh - a) \
+            <= 1e-12 * np.linalg.norm(a)
+        got = fc.pseudoinverse(fac)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    want = fc.nullspace_basis(a)
+    for fac in (full, thin):
+        if fac.vh.shape[0] != fac.vh.shape[1]:
+            # the thin factors of a wide matrix lack part of V*
+            with pytest.raises(fc.BadShape):
+                fc.nullspace_basis(fac)
+            continue
+        got = fc.nullspace_basis(fac)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, a, c", ONE_SVD_SYSTEMS, ids=ONE_SVD_IDS)
+def test_solve_min_norm_ignores_memory_order(name, a, c):
+    want = fc.solve_min_norm(np.ascontiguousarray(a), np.ascontiguousarray(c))
+    for a_in in (np.ascontiguousarray(a), np.asfortranarray(a)):
+        for c_in in (np.ascontiguousarray(c), np.asfortranarray(c)):
+            got = fc.solve_min_norm(a_in, c_in)
+            assert got.residual == want.residual
+            assert got.consistent == want.consistent
+            for field in ("solution", "nullspace"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes(), field
+
+
 def test_in_column_span_cases():
     # c lies in the column span of a exactly when a X = c is consistent
     assert fc.solve_min_norm(F_COLLINEAR, np.zeros((2, 2))).consistent
