@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BadShape
 from .frames import (Certificate, Family, Frame, NoCompletion, PartialDual,
                      SolutionFamily, Unique)
-from .linalg import adjoint, numerical_rank, solve_min_norm
+from .linalg import KernelRows, adjoint, numerical_rank, solve_min_norm
 
 _EPS = np.finfo(np.float64).eps
 
@@ -43,34 +43,35 @@ def unpermute(gp: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Undo a column permutation perm, given inv = np.argsort(perm).
 
     Column perm[j] of the result is gp[:, j].  The caller already holds
-    inv, so it is not sorted again here.  np.take keeps the result
-    C-contiguous; gp[:, inv] would not.
+    inv, so it is not sorted again here.  ndarray.take keeps the result
+    C-contiguous, where gp[:, inv] would not, and skips the dispatch
+    that makes np.take cost three times as much on small arrays.
     """
-    return np.take(gp, inv, axis=1)
+    return gp.take(inv, axis=1)
 
 
 def assemble_outcome(f: Frame, pd: PartialDual, coef: np.ndarray,
                      rhs: np.ndarray, realize):
     """Solve coef @ X = rhs and turn the solve into a CompletionOutcome.
 
-    realize(xs, nh) maps xs = X* of the solution and the d x m matrix
-    nh = N* of conjugated kernel directions of coef to the particular
-    dual and the d x k direction rows W, both in the frame's column
-    order; the family is then particular + C @ W over all n x d
-    matrices C.  It runs only when the system is consistent.  Only here
-    is coef cast to the field of F and H: a real F with a complex H is
-    solved over C.
+    realize(xs, nh) maps xs = X* of the solution and the d x m rows
+    nh = N* of conjugated kernel directions of coef, the solve's
+    linalg.KernelRows, to the particular dual and the d x k direction
+    rows W, both in the frame's column order; the family is then
+    particular + C @ W over all n x d matrices C.  It runs only when the
+    system is consistent.  Only here is coef cast to the field of F and
+    H: a real F with a complex H is solved over C.
     """
     coef = coef.astype(np.result_type(f.mat.dtype, pd.H.dtype), copy=False)
     lin = solve_min_norm(coef, rhs, tol=f.tol)
     if not lin.consistent:
         # the solve's kernel already counts coef's rank at the same cutoff
         cert = Certificate(
-            rank_free=coef.shape[1] - lin.nullspace.shape[1],
+            rank_free=coef.shape[1] - lin.kernel.shape[0],
             rank_augmented=numerical_rank(np.hstack([coef, rhs])),
             projector_residual=lin.residual)
         return NoCompletion(certificate=cert)
-    particular, w = realize(adjoint(lin.solution), adjoint(lin.nullspace))
+    particular, w = realize(adjoint(lin.solution), lin.kernel)
     if w.shape[0] == 0:
         return Unique(G=particular)
     fam = SolutionFamily(frame=f, particular=particular, directions=w,
@@ -97,29 +98,34 @@ def _lone_columns(f: Frame, positions, cols: np.ndarray) -> list:
             numerical_rank(np.delete(f.mat, positions[i], axis=1)) < f.n]
 
 
-def _column_realize(inv: np.ndarray, free, nfree: int, pinned=None,
-                    h=None, top=None, bottom=None):
+def _column_realize(order: np.ndarray, inv: np.ndarray, free, nfree: int,
+                    pinned=None, h=None, top=None, bottom=None):
     """The realize map of a route that writes A's columns.
 
-    In the route's column order, whose inverse permutation is inv, G is
-    [top + A @ bottom | A], or A alone when top is None.  A's columns
-    pinned are h, and its columns free are the first nfree columns of
-    X*, with N* on them as the direction rows.  One unpermute puts both
-    back in the frame's column order.
+    Column c of the route's column order is frame column order[c], and
+    inv = np.argsort(order).  In that order G is [top + A @ bottom | A],
+    or A alone when top is None.  A's columns pinned are h, and its
+    columns free, nfree of them, are the first nfree columns of X*, with
+    N* on them as the direction rows.  The n x k particular is built in
+    route order and one unpermute puts it in the frame's.  The direction
+    rows are written once, straight into frame order: N* at the frame
+    columns of A's free columns (linalg.KernelRows.placed), zero at the
+    pinned ones, and N* @ bottom at the pivot columns.
     """
     def realize(xs, nh):
         n = xs.shape[0]
-        g = np.zeros((n + nh.shape[0], inv.size), dtype=xs.dtype)
-        a = g if top is None else g[:, n:]
-        a[:n, free] = xs[:, :nfree]
-        a[n:, free] = nh[:, :nfree]
+        lead = 0 if top is None else n
+        g = np.zeros((n, inv.size), dtype=xs.dtype)
+        a = g[:, lead:]
+        a[:, free] = xs[:, :nfree]
         if pinned is not None:
-            a[:n, pinned] = h
+            a[:, pinned] = h
+        w = nh.placed(order[lead:][free], inv.size)
         if top is not None:
             g[:, :n] = a @ bottom
-            g[:n, :n] += top
-        g = unpermute(g, inv)
-        return g[:n], g[n:]
+            g[:, :n] += top
+            w[:, order[:n]] = nh.right(bottom[free])
+        return unpermute(g, inv), w
     return realize
 
 
@@ -141,8 +147,11 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
     full system's scale, so that a pivot column whose free part is pure
     rounding does not count as rank, and a NoCompletion certificate
     counts the full system's ranks.  A prescribed column of bottom that
-    _lone_columns counts as rounding of zero is zeroed in a copy, so
-    the row step writes none of its inputs.  The caller has run
+    _lone_columns counts as rounding of zero is zeroed, in a copy of
+    the pivot columns or in the realized products of all of P, so the
+    row step writes none of its inputs.  With order None, bottom may be
+    a linalg.KernelRows, such as the SVD route's V2* in WY form; the
+    step asks it only for columns and products.  The caller has run
     check_partial.
     """
     n, k = f.n, f.k
@@ -150,6 +159,9 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
     pinned = h_np = None
     if order is None:
         jp = positions = np.array(pd.indices, dtype=np.intp)
+        if not isinstance(bottom, KernelRows):
+            bottom = KernelRows(bottom)
+        cols = bottom.columns(jp)
     else:
         # ndarray.take and compress cost a third of fancy indexing here
         inv = np.argsort(order)
@@ -159,12 +171,14 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
         positions = order.take(jp)
         npin = pd.s - jp.size
         rhs = pd.H.compress(at_pivot, axis=1)
-    cols = bottom.take(jp, axis=1)
+        cols = bottom.take(jp, axis=1)
     lone = _lone_columns(f, positions, cols) if jp.size else []
     if lone:
         cols[:, lone] = 0
-        bottom = bottom.copy()
-        bottom[:, jp[lone]] = 0
+        zero = jp[lone]
+        if order is not None:
+            bottom = bottom.copy()
+            bottom[:, zero] = 0
     rhs = rhs - top.take(jp, axis=1)
     if npin:
         off_pivot = ~at_pivot
@@ -173,13 +187,14 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
         rhs -= h_np @ cols.take(pinned, axis=0)
         free = np.ones(k - n, dtype=bool)
         free[pinned] = False
+        free = free.nonzero()[0]
         nfree -= npin
         if jp.size and nfree:
             # the full system's largest singular value is at least 1, for
             # its unit rows, and at least the rms norm of its pivot rows
             top_sv = max(1.0, np.vdot(cols, cols).real / jp.size) ** 0.5
             scale = top_sv * max(pd.s, k - n) / (max(jp.size, nfree) + 1)
-        cols = cols.compress(free, axis=0)
+        cols = cols.take(free, axis=0)
     coef, rhs = adjoint(cols), adjoint(rhs)
     if scale:
         # one more unknown, alone in one more equation, whose coefficient
@@ -195,10 +210,15 @@ def _complete_over_rows(f: Frame, pd: PartialDual, top: np.ndarray,
         coef, rhs = wide, tall
     if order is None:
         def realize(xs, nh):
-            return top + xs @ bottom, nh @ bottom
+            g, w = bottom.left(xs), bottom.left(nh)
+            if lone:
+                g[:, zero] = 0
+                w[:, zero] = 0
+            g += top
+            return g, w
     else:
-        realize = _column_realize(inv, free, nfree, pinned, h_np, top,
-                                  bottom)
+        realize = _column_realize(order, inv, free, nfree, pinned, h_np,
+                                  top, bottom)
     out = assemble_outcome(f, pd, coef, rhs, realize)
     # the full system has npin more unit rows, and no scale unknown
     extra = npin - (1 if scale else 0)

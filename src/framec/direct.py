@@ -75,14 +75,15 @@ def complete_direct(f: Frame, pd: PartialDual) -> CompletionOutcome:
     solved by minimum-norm least squares, and the outcome is classified
     by consistency and by the kernel of F_free.  F_pres and F_free are
     read off F by index, in F's dtype and with no permuted copy of F;
-    realize stacks [H X*; 0 N*] in [prescribed | free] column order and
-    one unpermute puts it back in the frame's.  s = 0 reproduces the
+    realize builds the particular [H X*] in [prescribed | free] column
+    order, one unpermute puts it back in the frame's, and the direction
+    rows N* go straight to the free columns.  s = 0 reproduces the
     canonical dual as the particular member.
     """
     order, s = _column_order(f, pd), pd.s
     rhs = np.eye(f.n) - f.mat[:, order[:s]] @ adjoint(pd.H)
-    realize = _column_realize(np.argsort(order), slice(s, None), f.k - s,
-                              slice(0, s), pd.H)
+    realize = _column_realize(order, np.argsort(order), slice(s, None),
+                              f.k - s, slice(0, s), pd.H)
     return assemble_outcome(f, pd, f.mat[:, order[s:]], rhs, realize)
 
 

@@ -40,10 +40,11 @@ def complete_via_product(f: Frame, pd: PartialDual) -> CompletionOutcome:
 
     P comes from eliminating F* in the frame's own column order, so one
     P serves every prescription, and the elimination's row order tells
-    its pivot columns from its unit columns.
+    its pivot columns from its unit columns.  Only the pivot columns are
+    read, and the k x k P is never formed.
     """
     check_partial(f, pd)
     elim = eliminate_with_product(adjoint(f.mat), tol=f.tol)
-    pc = elim.P.take(elim.order[:f.n], axis=1)
-    return _complete_over_rows(f, pd, pc[:f.n], pc[f.n:], elim.order)
+    return _complete_over_rows(f, pd, elim.pivots[:f.n], elim.pivots[f.n:],
+                               elim.order)
 

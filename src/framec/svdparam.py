@@ -17,7 +17,7 @@ import numpy as np
 from ._complete import _complete_over_rows, check_partial
 from .errors import BadShape
 from .frames import CompletionOutcome, Frame, PartialDual
-from .linalg import SvdFactors, as_matrix, svd
+from .linalg import SvdFactors, _kernel_rows, as_matrix, svd
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,13 @@ def dual_from_X(dp: DualParam) -> np.ndarray:
 
 
 def complete_via_svd(f: Frame, pd: PartialDual) -> CompletionOutcome:
-    """Complete a partial dual in SVD coordinates."""
+    """Complete a partial dual in SVD coordinates.
+
+    P_svd's bottom rows V2* span ker F; at wide shapes they stay in WY
+    form (linalg.KernelRows), and the row step only asks for products
+    with them.
+    """
     check_partial(f, pd)
-    u, sigma, vh = np.linalg.svd(f.mat)
-    top = u @ (vh[:f.n] / sigma[:, None])
-    return _complete_over_rows(f, pd, top, vh[f.n:])
+    u, sigma, vh, v2 = _kernel_rows(f.mat)
+    top = u @ (vh / sigma[:, None])
+    return _complete_over_rows(f, pd, top, v2)
