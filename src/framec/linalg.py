@@ -325,13 +325,14 @@ def _factor(a: np.ndarray) -> tuple:
     is wide.
     """
     rows, cols = a.shape
-    if not _is_wide(rows, cols):
-        if not (rows and cols):
-            return a, KernelRows(np.eye(cols, dtype=a.dtype))
+    wide = _is_wide(rows, cols)
+    if not (rows and cols):
+        if wide:
+            return a, KernelRows.complement(np.zeros((0, cols), a.dtype))
+        return a, KernelRows(np.eye(cols, dtype=a.dtype))
+    if not wide:
         fac = _svd_full_v(a)
         return fac, KernelRows(adjoint(nullspace_basis(fac)))
-    if not rows:
-        return a, KernelRows.complement(a)
     fac = SvdFactors(*np.linalg.svd(a, full_matrices=False))
     return fac, KernelRows.complement(fac.vh[:_rank(fac)])
 

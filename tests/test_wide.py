@@ -202,6 +202,16 @@ def test_rank_deficient_wide_solve(monkeypatch, complex_field):
     assert np.array_equal(fc.nullspace_basis(a), ns)
 
 
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0), (0, 300)])
+def test_empty_system_takes_no_svd_on_either_path(monkeypatch, svd_calls,
+                                                  shape):
+    for wide in (True, False):
+        force_wide(monkeypatch, wide)
+        lin = fc.solve_min_norm(np.zeros(shape), np.zeros((shape[0], 1)))
+        assert np.array_equal(lin.nullspace, np.eye(shape[1]))
+    assert svd_calls[0] == 0
+
+
 def test_lone_column_rule_on_the_wy_form(monkeypatch):
     # frame vector 0 is independent of the others, so every dual has the
     # same column 0; prescribing it leaves V2*[:, 0] rounding of zero,
