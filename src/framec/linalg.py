@@ -119,10 +119,12 @@ def _is_wide(rows: int, cols: int) -> bool:
     The wide path takes the thin SVD and holds the rows that complete it
     in compact-WY form (KernelRows.complement), with no cols x cols
     array.  Timed on each route with this line forced both ways, one
-    BLAS thread, best of 15 calls: WY is faster from 128 columns at 4 or
-    more columns per row (1.1-2.1x at 8 x 128, 2-6x from 200 columns),
-    and LAPACK below 128 columns on real matrices (up to 1.2x at 2 x 112)
-    and at 2 columns per row (up to 1.35x at 64 x 128).
+    BLAS thread, best of 15 calls: from 128 columns at 4 or more columns
+    per row WY makes the direct and SVD routes 1.9-3.0x faster at
+    8 x 128 and 1.2-8x from 200 columns, and the product route, which
+    factors no F, 0.94-2.1x; LAPACK is faster below 128 columns on real
+    matrices (up to 1.2x at 2 x 112) and at 2 columns per row (up to
+    1.35x at 64 x 128).
     """
     return cols >= 128 and cols >= 4 * rows
 
